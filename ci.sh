@@ -7,17 +7,15 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 # Static verification: every built-in profile must lint clean — with
-# the block-tier effect audit included — warnings promoted to errors
-# (generation is seed-deterministic, so this is stable).
+# the continuation loop's effect audit included — warnings promoted to
+# errors (generation is seed-deterministic, so this is stable).
 cargo run --release -- lint --all-profiles --effects --deny all
 
 # Derived-effects + abstract-interpretation gate: the exhaustive
-# block/resume safety audit, SMC-freedom and stack-depth proofs for
-# every profile image, and the static run-length prediction reconciled
-# against a real 200k-instruction block-tier run per profile (the
-# pinned spec RUN_LENGTH_TOLERANCE is calibrated at). --deny all
-# promotes any foregone-coverage or reconcile drift to an error.
-cargo run --release -- verify --all-profiles --instructions 200000 --deny all
+# resume-safety audit, plus SMC-freedom and stack-depth proofs for
+# every profile image. --deny all promotes any foregone-continuation
+# drift to an error.
+cargo run --release -- verify --all-profiles --deny all
 
 # Fault-campaign gate: an injected run must take its machine checks and
 # still reconcile all three instruments exactly (nonzero exit otherwise).
@@ -133,22 +131,21 @@ grep -q '^vax-probe-tables v1$' "$CKPT_DIR/probe-tables.txt"
 grep -q '^meta cpu-model ' "$CKPT_DIR/probe-tables.txt"
 grep -q '^end$' "$CKPT_DIR/probe-tables.txt"
 
-# Simulator benchmark gate (the host-loop trajectory): run all three
-# interpreter tiers — naive byte-by-byte, predecode fast loop, and the
-# block-compiled tier — and fail on ANY instrument divergence between
-# them: bit-identical histograms, hardware counters, and trace streams,
-# plus proof that each accelerated tier actually engaged (predecode
-# hits, replayed block instructions), or nonzero exit. Sizes are pinned
-# smaller than the committed BENCH_7.json (which is regenerated at the
-# default spec) so the gate stays fast; the equivalence machinery
-# exercised is identical.
+# Simulator benchmark gate (the host-loop trajectory): run the naive
+# byte-by-byte loop against the default loop and fail on ANY instrument
+# divergence between them: bit-identical histograms, hardware counters,
+# and trace streams, plus proof that the default loop actually engaged
+# (predecode hits, continued instructions), or nonzero exit. Sizes are
+# pinned smaller than the committed BENCH_16.json (which is regenerated
+# at the default spec) so the gate stays fast; the equivalence
+# machinery exercised is identical.
 cargo run --release -- bench --instructions 200000 --trace-instructions 10000 \
-    --warmup 10000 --repeat 2 --tier naive --tier fast --tier block \
-    --json "$CKPT_DIR/BENCH_ci.json"
+    --warmup 10000 --repeat 2 --json "$CKPT_DIR/BENCH_ci.json"
 
-# The --tier flag must reject unknown tiers instead of silently
-# benchmarking the defaults.
+# Unknown options must be rejected instead of silently benchmarking
+# the defaults (--tier itself is retired, so this is the unknown-option
+# path).
 if cargo run --release -- bench --tier warp > /dev/null 2>&1; then
-    echo "bench --tier accepted an unknown tier" >&2
+    echo "bench accepted an unknown option" >&2
     exit 1
 fi

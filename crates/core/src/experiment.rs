@@ -125,17 +125,16 @@ pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> Measu
     while machine.cpu.instructions() - insns_before < instructions {
         if machine.at_idle() {
             // One step at a time: the idle exclusion is re-evaluated at
-            // every instruction boundary. (The idle loop's `BRB` is
-            // PC-changing, so the block tier would not batch it anyway.)
+            // every instruction boundary.
             let suspended = *machine.cpu.mem().counters();
             machine.step(&mut null).expect("workload runs");
             *machine.cpu.mem_mut().counters_mut() = suspended;
         } else {
-            // Busy: let the block tier retire a straight-line run, but
-            // never past the measurement target. Mid-run PCs can never
-            // be the idle PC — the idle loop is only entered by a taken
-            // branch, which ends any block — so the exclusion stays
-            // exact.
+            // Busy: let the continuation loop retire a run, but never
+            // past the measurement target. Mid-run PCs can never be the
+            // idle PC: the Null process is entered only by `REI`, which
+            // is resume-unsafe and so ends the run — so the exclusion
+            // stays exact.
             let remaining = instructions - (machine.cpu.instructions() - insns_before);
             machine
                 .step_budgeted(remaining, &mut board)

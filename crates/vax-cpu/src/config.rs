@@ -2,7 +2,7 @@
 
 /// Tunable microcode/pipeline parameters.
 ///
-/// Defaults model the 11/780; the ablation benches flip individual fields
+/// Defaults model the 11/780; the ablation sweeps flip individual fields
 /// (e.g. `decode_overlap` models the 11/750's folding of the decode cycle,
 /// discussed in the paper's §5: "the later VAX model 11/750 did [save the
 /// non-overlapped I-Decode cycle]").
@@ -35,40 +35,28 @@ pub struct CpuConfig {
     /// patches on production machines executed at a steady rate. 0
     /// disables.
     pub patch_abort_period: u32,
-    /// Use the predecode cache: parse each static instruction once and
-    /// replay the decoded form on re-execution, charging the identical
-    /// IB/decode cycles. A **host-side** optimization with no simulated
-    /// effect — histograms, hardware counters, and trace streams are
-    /// bit-identical to the naive loop (`tests/perf_equivalence.rs`
-    /// proves it; `vax780 bench` measures the speedup). `false` selects
-    /// the naive byte-by-byte loop, kept as the executable reference.
-    pub predecode: bool,
-    /// Use the sink fast paths: coalesce consecutive same-µPC issues
-    /// into one batched histogram call and skip prefetcher ticks that
-    /// provably mutate nothing. Like `predecode`, a host-side
-    /// optimization with no simulated effect; `false` restores the
-    /// per-cycle loop the equivalence suite and `vax780 bench` use as
-    /// the reference.
-    pub sink_batch: bool,
-    /// Use the generation-validated host shortcuts in the machine model:
-    /// the prefetcher's cheap-gate tick and the one-entry translation
-    /// shortcuts (IB and EBOX) that skip a TB set scan while the TB
-    /// generation proves the scan's outcome. All are host-side
-    /// optimizations counted exactly like the work they elide; `false`
-    /// selects the straight-line reference implementation (full scans,
-    /// every prefetcher cycle runs the full body).
-    pub host_shortcuts: bool,
-    /// Use the basic-block execution tier on top of the predecode cache:
-    /// straight-line runs of predecoded instructions are flattened into
-    /// one pre-resolved block and replayed back-to-back, amortizing the
-    /// per-instruction step overhead (fault poll, interrupt arbitration,
-    /// event pump, cache lookup) over the whole run. Entry guards keep
-    /// it a pure host-side optimization — no fault hook installed, no
-    /// pending interrupt, no external event due inside the block — and
-    /// every µinstruction is still issued one at a time, so histograms,
-    /// hardware counters, and trace streams stay bit-identical to the
-    /// naive loop. Requires `predecode`; has no effect without it.
-    pub block_tier: bool,
+    /// Use the host fast paths, all default-on and all host-side only:
+    ///
+    /// * the predecode cache: parse each static instruction once and
+    ///   replay the decoded form on re-execution, charging the identical
+    ///   IB/decode cycles;
+    /// * sink batching: coalesce consecutive same-µPC issues into one
+    ///   batched histogram call and skip prefetcher ticks that provably
+    ///   mutate nothing;
+    /// * host shortcuts: the prefetcher's cheap-gate tick and the
+    ///   one-entry translation shortcuts (IB and EBOX) that skip a TB
+    ///   set scan while the TB generation proves the scan's outcome;
+    /// * the continuation loop: `Cpu::step_budgeted` keeps executing
+    ///   after a resume-safe instruction, skipping the provably no-op
+    ///   fault poll, interrupt arbitration, and event pump between
+    ///   instructions, bounded by the budget and the event horizon.
+    ///
+    /// None has a simulated effect: histograms, hardware counters, and
+    /// trace streams are bit-identical to the naive loop
+    /// (`tests/perf_equivalence.rs` proves it; `vax780 bench` measures
+    /// the speedup). `false` selects the naive byte-by-byte, per-cycle,
+    /// one-instruction-per-step loop, kept as the executable reference.
+    pub fast_paths: bool,
 }
 
 impl Default for CpuConfig {
@@ -82,10 +70,7 @@ impl Default for CpuConfig {
             exc_service_body_cycles: 12,
             char_loop_spacing: 5,
             patch_abort_period: 12,
-            predecode: true,
-            sink_batch: true,
-            host_shortcuts: true,
-            block_tier: true,
+            fast_paths: true,
         }
     }
 }
@@ -100,27 +85,13 @@ impl CpuConfig {
     }
 
     /// The naive reference loop: byte-by-byte decode on every dynamic
-    /// execution, no predecode cache, per-cycle sink calls. This is the
-    /// pre-optimization interpreter, kept as the executable reference;
-    /// `vax780 bench` and the equivalence suite compare against it.
+    /// execution, per-cycle sink calls, full TB scans, and one
+    /// instruction per step. This is the pre-optimization interpreter,
+    /// kept as the executable reference; `vax780 bench` and the
+    /// equivalence suite compare against it.
     pub fn naive_loop() -> CpuConfig {
         CpuConfig {
-            predecode: false,
-            sink_batch: false,
-            host_shortcuts: false,
-            block_tier: false,
-            ..CpuConfig::default()
-        }
-    }
-
-    /// The PR 5 fast loop without the block tier: predecode replay, sink
-    /// batching, and host shortcuts, but every instruction still goes
-    /// through the full per-instruction step. `vax780 bench --tier fast`
-    /// times this configuration so the block tier's marginal gain is
-    /// measured against the right baseline.
-    pub fn fast_loop() -> CpuConfig {
-        CpuConfig {
-            block_tier: false,
+            fast_paths: false,
             ..CpuConfig::default()
         }
     }
@@ -140,24 +111,18 @@ mod tests {
     }
 
     #[test]
-    fn tier_configs_nest() {
+    fn naive_loop_differs_only_in_fast_paths() {
         let naive = CpuConfig::naive_loop();
-        assert!(!naive.predecode && !naive.sink_batch && !naive.host_shortcuts);
-        assert!(!naive.block_tier);
-        let fast = CpuConfig::fast_loop();
-        assert!(fast.predecode && fast.sink_batch && fast.host_shortcuts);
-        assert!(!fast.block_tier);
-        assert!(CpuConfig::default().block_tier);
-        // The simulated-machine parameters are identical in all three.
-        let strip = |c: CpuConfig| CpuConfig {
-            predecode: false,
-            sink_batch: false,
-            host_shortcuts: false,
-            block_tier: false,
-            ..c
-        };
-        assert_eq!(strip(naive), strip(fast));
-        assert_eq!(strip(fast), strip(CpuConfig::default()));
+        assert!(!naive.fast_paths);
+        assert!(CpuConfig::default().fast_paths);
+        // The simulated-machine parameters are identical in both loops.
+        assert_eq!(
+            CpuConfig {
+                fast_paths: true,
+                ..naive
+            },
+            CpuConfig::default()
+        );
     }
 
     #[test]

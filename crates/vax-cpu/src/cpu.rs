@@ -1,7 +1,7 @@
 //! The CPU: clock owner, microcycle engine, and instruction stepper.
 
-use crate::block::{claimed_resume_safe as resume_safe, BlockStats, BLOCK_MAX};
 use crate::config::CpuConfig;
+use crate::effect::claimed_resume_safe as resume_safe;
 use crate::exec;
 use crate::fault::{CpuError, Fault};
 use crate::ib::InstructionBuffer;
@@ -63,6 +63,15 @@ pub struct RunOutcome {
     pub cycles: u64,
 }
 
+/// Host-side continuation-loop statistics (diagnostics: no simulated
+/// meaning). The name is the block tier's, which the continuation loop
+/// outlived; external tools read `replayed` under it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockStats {
+    /// Instructions retired inside the continuation loop.
+    pub replayed: u64,
+}
+
 /// The VAX-11/780 processor model.
 pub struct Cpu {
     pub(crate) regs: RegFile,
@@ -80,16 +89,15 @@ pub struct Cpu {
     /// System control block base (physical).
     pub(crate) scbb: u32,
     pub(crate) insn_count: u64,
-    /// Host-side predecode cache (empty when `config.predecode` is off).
+    /// Host-side predecode cache (empty when `config.fast_paths` is off).
     predecode: PredecodeCache,
-    /// Host-side block-tier counters (the blocks themselves live in
-    /// the predecode tags; see `block.rs`).
+    /// Host-side continuation-loop counters.
     block_stats: BlockStats,
     /// Earliest cycle at which an external event source (machine timer,
     /// run-time event queue, DMA engine) can fire. Maintained by the
     /// machine's event pump; `u64::MAX` when no pump drives this CPU.
-    /// The block tier stops replaying before crossing it, so the cycles
-    /// it runs without re-pumping are provably event-free.
+    /// The continuation loop stops before crossing it, so the cycles it
+    /// runs without re-pumping are provably event-free.
     event_horizon: u64,
 }
 
@@ -110,13 +118,13 @@ impl Cpu {
         let mut regs = RegFile::new();
         regs.set_pc(pc);
         let mut mem = mem;
-        mem.set_host_shortcuts(config.host_shortcuts);
+        mem.set_host_shortcuts(config.fast_paths);
         Cpu {
             regs,
             psl: Psl::kernel_boot(),
             mem,
             cs: ControlStore::build(),
-            ib: InstructionBuffer::new(pc, config.host_shortcuts),
+            ib: InstructionBuffer::new(pc, config.fast_paths),
             now: 0,
             config,
             lines: InterruptLines::new(),
@@ -124,7 +132,7 @@ impl Cpu {
             pcbb: 0,
             scbb: 0,
             insn_count: 0,
-            predecode: PredecodeCache::new(config.predecode),
+            predecode: PredecodeCache::new(config.fast_paths),
             block_stats: BlockStats::default(),
             event_horizon: u64::MAX,
         }
@@ -153,16 +161,16 @@ impl Cpu {
         self.predecode.stats()
     }
 
-    /// Block-tier hit/build/replay counts (host-side diagnostics;
-    /// all zero unless the block tier is enabled and entered).
+    /// Continuation-loop counts (host-side diagnostics; zero in the
+    /// naive loop, and while a fault hook is installed).
     pub fn block_stats(&self) -> BlockStats {
         self.block_stats
     }
 
     /// Declare the earliest cycle at which an external event source can
     /// fire. Called by the machine's event pump each time it runs; the
-    /// block tier stops replaying before `now` reaches this horizon, so
-    /// skipping the pump between block instructions is a provable no-op.
+    /// continuation loop stops before `now` reaches this horizon, so
+    /// skipping the pump between its instructions is a provable no-op.
     pub fn set_event_horizon(&mut self, horizon: u64) {
         self.event_horizon = horizon;
     }
@@ -272,7 +280,7 @@ impl Cpu {
         n: u32,
         sink: &mut S,
     ) {
-        if !S::COALESCE_OK || !self.config.sink_batch {
+        if !S::COALESCE_OK || !self.config.fast_paths {
             for _ in 0..n {
                 self.micro_compute(addr, sink);
             }
@@ -342,7 +350,7 @@ impl Cpu {
         // Stall cycles don't observe a µPC, so the per-cycle work is the
         // prefetcher alone; skip its no-op ticks in bulk when the sink
         // permits.
-        if S::COALESCE_OK && self.config.sink_batch {
+        if S::COALESCE_OK && self.config.fast_paths {
             self.run_ticks_bulk(cycles, sink);
             return;
         }
@@ -709,11 +717,28 @@ impl Cpu {
 
     /// Execute up to `budget` instructions (or service one interrupt).
     ///
-    /// Like [`Cpu::step`], but the block tier may retire several
+    /// Like [`Cpu::step`], but the continuation loop may retire several
     /// instructions in one call — never more than `budget`, so callers
     /// driving toward an instruction target pass their remaining count
     /// and never overshoot. A budget of 1 is exactly [`Cpu::step`].
     /// [`StepOutcome::Instruction`] carries the *last* retired opcode.
+    ///
+    /// The continuation loop runs only with the fast paths on and no
+    /// fault hook installed (an armed hook polls every instruction
+    /// boundary and observes every µPC); otherwise every call executes
+    /// exactly one instruction. It keeps executing until the budget is
+    /// spent, the external-event horizon is reached, or an instruction
+    /// retires that could make an interrupt deliverable
+    /// ([`crate::effect::claimed_resume_safe`]). Bit-identity argument
+    /// for the per-step work it skips: the fault poll is a no-op because
+    /// no hook is armed and none can be installed from inside the run;
+    /// interrupt arbitration is a no-op because the only things that
+    /// change IPL/SISR/interrupt lines are external events (which cannot
+    /// fire before the event horizon — and the run stops there) and the
+    /// resume-unsafe instructions (the run returns right after one
+    /// retires); the external-event pump is a no-op for the same horizon
+    /// reason. So the run retires exactly the instructions, in exactly
+    /// the states, that that many per-instruction steps would have.
     ///
     /// # Errors
     ///
@@ -734,265 +759,34 @@ impl Cpu {
             self.service_interrupt(int, sink);
             return Ok(StepOutcome::Interrupt);
         }
-        let pc_at_start = self.regs.pc();
-        // Block tier: keep executing inside this call — replaying
-        // flattened straight-line runs where compiled blocks exist and
-        // falling back to single per-instruction executions between
-        // them — until the budget, the external-event horizon, or an
-        // instruction that can perturb interrupt state ends the run.
-        // Entered only when no fault hook is armed (an armed hook polls
-        // every instruction boundary and observes every µPC — the
-        // per-instruction path handles that) and the budget covers at
-        // least two instructions. The checks above plus the run guards
-        // make the whole run bit-identical to that many
-        // per-instruction steps.
-        if budget >= 2
-            && self.config.block_tier
-            && self.config.predecode
-            && !self.mem.has_fault_hook()
-        {
-            return self.run_block_tier(budget, sink);
-        }
-        match self.execute_one(sink) {
-            Ok(op) => {
-                self.insn_count += 1;
-                Ok(StepOutcome::Instruction(op))
-            }
-            Err(ExecStop::Fault(fault)) => {
-                self.deliver_exception(fault, pc_at_start, sink)?;
-                Ok(StepOutcome::Exception(fault))
-            }
-            Err(ExecStop::Halt) => Err(CpuError::Halted { pc: self.regs.pc() }),
-        }
-    }
-
-    /// The block tier's run loop: alternate between replaying compiled
-    /// blocks and single per-instruction executions, all inside one
-    /// `step_budgeted` call, until the instruction budget is spent, the
-    /// external-event horizon is reached, or an instruction retires
-    /// that could make an interrupt deliverable
-    /// ([`crate::block::claimed_resume_safe`]).
-    ///
-    /// Bit-identity argument for the skipped per-step work: the fault
-    /// poll is a no-op because no hook is armed (entry guard) and none
-    /// can be installed from inside the run; interrupt arbitration is a
-    /// no-op because the only things that change IPL/SISR/interrupt
-    /// lines are external events (which cannot fire before the event
-    /// horizon — and the run stops there) and the excluded instructions
-    /// (the run returns right after one retires); the external-event
-    /// pump is a no-op for the same horizon reason. So the run retires
-    /// exactly the instructions, in exactly the states, that that many
-    /// per-instruction steps would have.
-    fn run_block_tier<S: CycleSink>(
-        &mut self,
-        budget: u64,
-        sink: &mut S,
-    ) -> Result<StepOutcome, CpuError> {
+        let limit = if self.config.fast_paths && !self.mem.has_fault_hook() {
+            budget
+        } else {
+            1
+        };
         let mut executed: u64 = 0;
-        let mut last;
-        loop {
+        let outcome = loop {
             let pc = self.regs.pc();
-            let space = self.code_space_tag(pc);
-            let gen = self.mem.decode_gen();
-            // One predecode lookup dispatches everything: the head
-            // flags ride on the tag it just loaded, so "is there a
-            // block here?" costs no second probe, and on a flagless
-            // hit the slot replays directly — the exact work the fast
-            // loop would have done for this instruction.
-            if let Some(head) = self.predecode.lookup(pc, space, gen) {
-                let flags = self.predecode.head_flags(head);
-                let count = if flags & crate::predecode::FLAG_HAS_BLOCK != 0 {
-                    flags >> 2
-                } else if flags & crate::predecode::FLAG_NONHEAD == 0 {
-                    self.build_block(head, pc, space, gen)
-                } else {
-                    0
-                };
-                if count != 0 {
-                    self.block_stats.hits += 1;
-                    match self.execute_block(head, count, budget - executed, sink) {
-                        Ok((op, n)) => {
-                            // Every block instruction is resume-safe
-                            // (terminators included), so the run
-                            // always continues after a block.
-                            last = op;
-                            executed += n;
-                        }
-                        Err((ExecStop::Fault(fault), fault_pc)) => {
-                            self.deliver_exception(fault, fault_pc, sink)?;
-                            return Ok(StepOutcome::Exception(fault));
-                        }
-                        Err((ExecStop::Halt, _)) => {
-                            return Err(CpuError::Halted { pc: self.regs.pc() })
-                        }
-                    }
-                } else {
-                    // A predecoded non-head: replay the single parse,
-                    // reusing the lookup already done.
-                    match self.execute_predecoded(head, pc, sink) {
-                        Ok(op) => {
-                            self.insn_count += 1;
-                            executed += 1;
-                            last = op;
-                            if !resume_safe(op) {
-                                break;
-                            }
-                        }
-                        Err(ExecStop::Fault(fault)) => {
-                            self.deliver_exception(fault, pc, sink)?;
-                            return Ok(StepOutcome::Exception(fault));
-                        }
-                        Err(ExecStop::Halt) => return Err(CpuError::Halted { pc: self.regs.pc() }),
-                    }
-                }
-            } else {
-                // Not predecoded yet: one ordinary per-instruction
-                // execution (whose parse path fills the cache), then
-                // keep going.
-                match self.execute_one(sink) {
-                    Ok(op) => {
-                        self.insn_count += 1;
-                        executed += 1;
-                        last = op;
-                        if !resume_safe(op) {
-                            break;
-                        }
-                    }
-                    Err(ExecStop::Fault(fault)) => {
-                        self.deliver_exception(fault, pc, sink)?;
-                        return Ok(StepOutcome::Exception(fault));
-                    }
-                    Err(ExecStop::Halt) => return Err(CpuError::Halted { pc: self.regs.pc() }),
-                }
-            }
-            if executed >= budget || self.now >= self.event_horizon {
-                break;
-            }
-        }
-        Ok(StepOutcome::Instruction(last))
-    }
-
-    /// Verify the straight-line run of predecoded instructions headed
-    /// at predecode slot `head` (already looked up at `pc`), stopping
-    /// at the first instruction that can redirect execution, perturb
-    /// interrupt/address-space state, or is simply not predecoded yet.
-    /// Returns the verified instruction count (0 = no block) and
-    /// records it in the head's tag flags — the count is the block's
-    /// entire representation; nothing else is stored. A definitive
-    /// "never" marks the head's tag instead
-    /// ([`PredecodeCache::note_nonhead`]) so hot branch PCs don't pay a
-    /// rebuild attempt on every visit.
-    fn build_block(&mut self, head: usize, pc: u32, space: u64, gen: u64) -> u8 {
-        let (head_len, head_safe, _) = self.predecode.meta_at(head);
-        if !head_safe || head_len == 0 {
-            // This head can never start a block while it holds this
-            // parse; the flag dies with the slot's identity.
-            self.predecode.note_nonhead(head);
-            return 0;
-        }
-        let mut n: u8 = 1;
-        let mut va = pc.wrapping_add(u32::from(head_len));
-        let mut open_end = false;
-        while usize::from(n) < BLOCK_MAX && va > pc && self.code_space_tag(va) == space {
-            let Some(idx) = self.predecode.lookup(va, space, gen) else {
-                // Not parsed yet — the run may extend once it is.
-                open_end = true;
-                break;
-            };
-            let (len, safe, resume) = self.predecode.meta_at(idx);
-            if safe && len != 0 {
-                n += 1;
-                va = va.wrapping_add(u32::from(len));
-                continue;
-            }
-            // The run ends here. If the ender is resume-safe — a plain
-            // branch, call, or jump that redirects the PC without
-            // touching interrupt state — flatten it too, as the block's
-            // *terminator*: it replays through the same
-            // `execute_predecoded`, and the run loop simply continues
-            // at whatever PC it leaves behind. Resume-unsafe enders
-            // (MTPR, CHMx, REI, ...) stay on the per-instruction path.
-            if resume {
-                n += 1;
-            }
-            break;
-        }
-        if n < 2 {
-            if !open_end {
-                // A lone instruction before a resume-unsafe ender:
-                // mark it a non-head, same as an unsafe head.
-                self.predecode.note_nonhead(head);
-            }
-            return 0;
-        }
-        self.block_stats.builds += 1;
-        self.predecode.note_has_block(head, n);
-        n
-    }
-
-    /// Replay the verified block of `count` instructions headed at
-    /// predecode slot `head`, retiring at most `budget` of them (the
-    /// budget caps the walk up front — it cannot change mid-block).
-    /// The block stores no entries: each instruction after the head is
-    /// reached exactly the way the fast loop would reach it — a
-    /// predecode lookup at the current PC, space, and generation, then
-    /// a replay of the cached parse. That lookup *is* the mid-run
-    /// revalidation: self-modifying code bumps the generation and the
-    /// lookup misses, an evicted interior parse misses, and either way
-    /// the replay ends early and reroutes to the parse path, which
-    /// consumes the same bytes. Between instructions only the
-    /// external-event horizon is checked on top; everything else
-    /// provably cannot change mid-run, which is what the entry guards
-    /// and the block-safety filter established. Each instruction
-    /// replays through `execute_predecoded` — the same code the fast
-    /// loop runs — so the block tier adds no third replay
-    /// implementation to keep bit-identical. Returns the last opcode
-    /// and how many instructions retired (≥ 1; the caller guarantees
-    /// `budget ≥ 1`). On a fault the error carries the faulting
-    /// instruction's PC for delivery.
-    fn execute_block<S: CycleSink>(
-        &mut self,
-        head: usize,
-        count: u8,
-        budget: u64,
-        sink: &mut S,
-    ) -> Result<(Opcode, u64), (ExecStop, u32)> {
-        let limit = u64::from(count).min(budget.min(BLOCK_MAX as u64));
-        let mut slot = head;
-        let mut pc = self.regs.pc();
-        let mut last;
-        let mut executed: u64 = 0;
-        loop {
-            match self.execute_predecoded(slot, pc, sink) {
+            match self.execute_one(sink) {
                 Ok(op) => {
                     self.insn_count += 1;
                     executed += 1;
-                    last = op;
-                }
-                Err(stop) => {
-                    self.block_stats.replayed += executed;
-                    if executed > 0 {
-                        self.block_stats.run_hist[executed as usize] += 1;
+                    if executed >= limit || !resume_safe(op) || self.now >= self.event_horizon {
+                        break Ok(StepOutcome::Instruction(op));
                     }
-                    return Err((stop, pc));
                 }
+                Err(ExecStop::Fault(fault)) => {
+                    break self
+                        .deliver_exception(fault, pc, sink)
+                        .map(|()| StepOutcome::Exception(fault));
+                }
+                Err(ExecStop::Halt) => break Err(CpuError::Halted { pc: self.regs.pc() }),
             }
-            if executed >= limit || self.now >= self.event_horizon {
-                break;
-            }
-            // The next instruction of the run, revalidated by the same
-            // lookup the fast loop would do for it.
-            pc = self.regs.pc();
-            let space = self.code_space_tag(pc);
-            let gen = self.mem.decode_gen();
-            let Some(next) = self.predecode.lookup(pc, space, gen) else {
-                break;
-            };
-            slot = next;
+        };
+        if limit >= 2 {
+            self.block_stats.replayed += executed;
         }
-        self.block_stats.replayed += executed;
-        self.block_stats.run_hist[executed as usize] += 1;
-        Ok((last, executed))
+        outcome
     }
 
     fn execute_one<S: CycleSink>(&mut self, sink: &mut S) -> Result<Opcode, ExecStop> {
@@ -1000,7 +794,7 @@ impl Cpu {
         // Predecode fast path: replay the cached parse of this static
         // instruction. Bit-identical to the parse path below — same bytes
         // consumed, same microinstructions issued, same evaluation code.
-        if self.config.predecode {
+        if self.config.fast_paths {
             let space = self.code_space_tag(pc_at_start);
             if let Some(idx) = self
                 .predecode
@@ -1061,7 +855,7 @@ impl Cpu {
         // faults don't invalidate a parse; instructions whose *parse*
         // faults never reach here and stay on this path, preserving
         // their exact fault payloads.)
-        if self.config.predecode {
+        if self.config.fast_paths {
             self.insert_predecode(pc_at_start, rec);
         }
         // Execute phase.
@@ -1126,19 +920,11 @@ impl Cpu {
     /// there invalidate the cache. If any page fails to resolve (it was
     /// just fetched, so this cannot normally happen), skip the insert —
     /// staying on the parse path is always safe.
-    fn insert_predecode(&mut self, pc: u32, mut inst: PredecodedInst) {
+    fn insert_predecode(&mut self, pc: u32, inst: PredecodedInst) {
         let end = self.regs.pc();
         if end <= pc {
             return; // PC wrapped mid-instruction: not worth caching.
         }
-        // Record the instruction's I-stream length so the block builder
-        // can chain consecutive parses. Longest encodable instruction is
-        // 61 bytes (opcode + six 10-byte specifiers); the guard is
-        // defensive.
-        let Ok(len) = u8::try_from(end - pc) else {
-            return;
-        };
-        inst.len = len;
         // Flag exactly the bytes the instruction occupies, page by page
         // (the range is virtually contiguous but not physically).
         let mut va = pc;

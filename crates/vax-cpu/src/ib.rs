@@ -44,11 +44,11 @@ pub struct InstructionBuffer {
     tpage: u32,
     tframe: u32,
     tgen: u64,
-    /// Use the host-side shortcuts ([`CpuConfig::host_shortcuts`]): the
+    /// Use the host-side shortcuts ([`CpuConfig::fast_paths`]): the
     /// cheap tick gate and the same-page translation shortcut. `false`
     /// runs the straight-line reference body every cycle.
     ///
-    /// [`CpuConfig::host_shortcuts`]: crate::CpuConfig::host_shortcuts
+    /// [`CpuConfig::fast_paths`]: crate::CpuConfig::fast_paths
     shortcuts: bool,
 }
 

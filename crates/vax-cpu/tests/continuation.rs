@@ -1,11 +1,11 @@
-//! Block-compiled execution tier: engagement, bit-identity, budget
-//! exactness, and mid-block self-modifying-code invalidation.
+//! The continuation loop: engagement, bit-identity, budget exactness,
+//! and self-modifying code inside a running loop.
 //!
-//! The block tier is a host-side batching layer: it must retire the
-//! same instructions, charge the same cycles, and issue the same µPCs
-//! as the naive reference loop. These tests run small images under all
-//! three config tiers (`naive_loop`, `fast_loop`, `default`) and assert
-//! exact equality — plus that blocks actually engage under `default`,
+//! The continuation loop is a host-side batching layer: it must retire
+//! the same instructions, charge the same cycles, and issue the same
+//! µPCs as the naive reference loop. These tests run small images under
+//! both loops (`naive_loop`, `default`) and assert exact equality —
+//! plus that the continuation loop actually engages under `default`,
 //! so the equality is not vacuous.
 
 use upc_monitor::{Command, Histogram, HistogramBoard};
@@ -13,8 +13,8 @@ use vax_arch::{Assembler, CodeImage, Opcode, Operand, Reg};
 use vax_cpu::harness::SimpleMachine;
 use vax_cpu::CpuConfig;
 
-/// A counted loop whose body is five straight-line instructions — long
-/// enough to form a block, revisited enough times to replay it.
+/// A counted loop whose body is five straight-line instructions and a
+/// branch, revisited enough times to keep the run going across it.
 fn counted_loop_image() -> CodeImage {
     let mut asm = Assembler::new(0x400);
     let top = asm.label_here();
@@ -38,7 +38,7 @@ struct Observed {
     r_low: [u32; 8],
     cycles: u64,
     histogram: Histogram,
-    block_replayed: u64,
+    continued: u64,
 }
 
 fn observe(image: &CodeImage, config: CpuConfig, instructions: u64) -> Observed {
@@ -55,44 +55,37 @@ fn observe(image: &CodeImage, config: CpuConfig, instructions: u64) -> Observed 
         r_low,
         cycles: outcome.cycles,
         histogram: board.into_histogram(),
-        block_replayed: m.cpu.block_stats().replayed,
+        continued: m.cpu.block_stats().replayed,
     }
 }
 
-fn assert_tiers_identical(image: &CodeImage, instructions: u64) -> Observed {
+fn assert_loops_identical(image: &CodeImage, instructions: u64) -> Observed {
     let naive = observe(image, CpuConfig::naive_loop(), instructions);
-    let fast = observe(image, CpuConfig::fast_loop(), instructions);
-    let block = observe(image, CpuConfig::default(), instructions);
-    assert_eq!(naive.block_replayed, 0, "naive loop must not touch blocks");
-    assert_eq!(fast.block_replayed, 0, "fast loop must not touch blocks");
-    for (label, tier) in [("fast", &fast), ("block", &block)] {
-        assert_eq!(tier.r_low, naive.r_low, "{label}: registers diverged");
-        assert_eq!(tier.cycles, naive.cycles, "{label}: cycles diverged");
-        assert_eq!(
-            tier.histogram, naive.histogram,
-            "{label}: µPC histogram diverged"
-        );
-    }
-    block
+    let default = observe(image, CpuConfig::default(), instructions);
+    assert_eq!(naive.continued, 0, "naive loop must not continue runs");
+    assert_eq!(default.r_low, naive.r_low, "registers diverged");
+    assert_eq!(default.cycles, naive.cycles, "cycles diverged");
+    assert_eq!(default.histogram, naive.histogram, "µPC histogram diverged");
+    default
 }
 
-/// The loop body replays as a block under the default config and stays
-/// bit-identical to the naive and fast tiers.
+/// The loop body runs inside the continuation loop under the default
+/// config and stays bit-identical to the naive loop.
 #[test]
-fn block_tier_engages_and_matches_naive_loop() {
+fn continuation_engages_and_matches_naive_loop() {
     let image = counted_loop_image();
-    let block = assert_tiers_identical(&image, 320);
+    let default = assert_loops_identical(&image, 320);
     assert!(
-        block.block_replayed > 0,
-        "block tier never replayed an instruction — the equality above is vacuous"
+        default.continued > 0,
+        "the continuation loop never ran — the equality above is vacuous"
     );
 }
 
-/// `Cpu::run(n)` retires exactly `n` instructions with the block tier
-/// enabled: the budget plumbing must stop a block mid-flight rather
+/// `Cpu::run(n)` retires exactly `n` instructions with the continuation
+/// loop enabled: the budget plumbing must stop a run mid-flight rather
 /// than overshoot the target.
 #[test]
-fn block_tier_never_overshoots_an_instruction_budget() {
+fn continuation_never_overshoots_an_instruction_budget() {
     let image = counted_loop_image();
     for target in [1u64, 2, 3, 7, 23, 64] {
         let mut m = SimpleMachine::with_code_and_config(&image, CpuConfig::default());
@@ -103,25 +96,32 @@ fn block_tier_never_overshoots_an_instruction_budget() {
             target,
             "run({target}) retired a different count"
         );
+        // No event source and no resume-unsafe opcode: any budget of two
+        // or more runs as one continuation; a budget of one is a step.
+        assert_eq!(
+            m.cpu.block_stats().replayed,
+            if target >= 2 { target } else { 0 },
+            "run({target}) was not one continuation"
+        );
     }
 }
 
 /// Self-modifying code where the patcher and the patched instruction
-/// live in the *same* block: the store must end the block replay at the
-/// next instruction boundary (the mid-block `decode_gen` guard), so the
-/// re-parsed victim observes the new bytes.
+/// run inside the *same* continuation run: the store bumps `decode_gen`,
+/// so the next predecode lookup misses and the re-parsed victim
+/// observes the new bytes.
 ///
 /// The loop writes `R4` through `(R6)` and then loads an immediate into
 /// `R2`. For the first three iterations `R6` aims at scratch memory and
-/// the block replays intact; after the third, `R6` is re-aimed at the
-/// immediate's low byte, so every later iteration's first instruction
-/// rewrites an instruction *later in its own block*. A replay that
-/// ignored the generation bump would keep serving `#0x11`.
+/// the cached parses replay intact; after the third, `R6` is re-aimed
+/// at the immediate's low byte, so every later iteration's first
+/// instruction rewrites an instruction *later in its own run*. A replay
+/// that ignored the generation bump would keep serving `#0x11`.
 ///
 /// Built in two passes because the patch address (`MOVL` immediate + 2)
 /// is only known once the prefix is assembled; operand encodings are
 /// size-stable, so pass two lands every instruction at the same VA.
-fn mid_block_smc_image() -> CodeImage {
+fn own_loop_smc_image() -> CodeImage {
     let probe = build_smc_image(0x8000);
     build_smc_image(probe.1).0
 }
@@ -179,20 +179,20 @@ fn build_smc_image(patch_va: u32) -> (CodeImage, u32) {
 }
 
 #[test]
-fn mid_block_store_into_own_block_is_observed() {
-    let image = mid_block_smc_image();
-    let block = assert_tiers_identical(&image, 90);
+fn store_into_the_running_loop_is_observed() {
+    let image = own_loop_smc_image();
+    let default = assert_loops_identical(&image, 90);
     // The instruction buffer has already prefetched the victim's bytes
     // when the patcher executes, so each patch lands one iteration late
     // (faithful VAX-11/780 behavior — the reference loop agrees):
     // iterations 1–4 load #0x11 (4 × 17 = 68), iterations 5–6 load the
     // patched bytes 3 and 4. A replay that ignored the generation bump
     // entirely would keep serving #0x11 and end with R5 = 102.
-    assert_eq!(block.r_low[2], 4, "R2: last patched immediate");
-    assert_eq!(block.r_low[3], 6, "R3: iteration count");
-    assert_eq!(block.r_low[5], 75, "R5: sum over patched immediates");
+    assert_eq!(default.r_low[2], 4, "R2: last patched immediate");
+    assert_eq!(default.r_low[3], 6, "R3: iteration count");
+    assert_eq!(default.r_low[5], 75, "R5: sum over patched immediates");
     assert!(
-        block.block_replayed > 0,
-        "patcher/victim block never replayed — guard not exercised"
+        default.continued > 0,
+        "patcher and victim never ran in one continuation — guard not exercised"
     );
 }

@@ -473,7 +473,7 @@ const ITER_CAP: u64 = 32;
 /// Counted-loop intervals of a region: a backward Loop-class branch
 /// closes the interval `[target, branch]`; its trip count comes from
 /// the loop idiom (AOBLSS/SOBGTR/ACBL), capped at [`ITER_CAP`].
-pub(crate) fn counted_loops(region: &Region) -> Vec<(usize, usize, u64)> {
+fn counted_loops(region: &Region) -> Vec<(usize, usize, u64)> {
     let mut loops: Vec<(usize, usize, u64)> = Vec::new();
     for inst in &region.insts {
         if inst.inst.opcode.branch_class() != Some(BranchClass::Loop) {
@@ -503,7 +503,7 @@ pub(crate) fn counted_loops(region: &Region) -> Vec<(usize, usize, u64)> {
 }
 
 /// Product of the trip counts of every counted loop enclosing `off`.
-pub(crate) fn loop_multiplier(loops: &[(usize, usize, u64)], off: usize) -> u64 {
+fn loop_multiplier(loops: &[(usize, usize, u64)], off: usize) -> u64 {
     loops
         .iter()
         .filter(|&&(top, bottom, _)| (top..=bottom).contains(&off))

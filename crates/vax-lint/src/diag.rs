@@ -24,8 +24,8 @@ impl Severity {
 /// The rule catalog. Six families: image CFG/decode checks,
 /// static-mix-vs-profile checks, table/taxonomy audits, probe
 /// measurement-vs-model refutation checks, effect-audit checks of the
-/// block tier's safety claims, and abstract-interpretation
-/// verification of images (SMC freedom, stack depth, run lengths).
+/// continuation loop's safety claim, and abstract-interpretation
+/// verification of images (SMC freedom, stack depth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     // ----- image family -----------------------------------------------------
@@ -72,15 +72,12 @@ pub enum Rule {
     /// The probe allowlist is malformed, names unknown keys, or carries
     /// entries no measurement used.
     ProbeAllowlist,
-    // ----- effect family (block-tier safety claims vs derivation) -----------
-    /// An opcode claimed block-safe has a derived footprint that can
-    /// redirect PC or perturb interrupt state.
-    EffectBlockSafe,
+    // ----- effect family (continuation safety claim vs derivation) ----------
     /// An opcode claimed resume-safe has a derived footprint that can
     /// perturb interrupt state.
     EffectResumeSafe,
-    /// An opcode the derivation proves safe is claimed unsafe: block
-    /// coverage foregone.
+    /// An opcode the derivation proves resume-safe is claimed unsafe:
+    /// run continuation foregone.
     EffectForgone,
     // ----- verify family (abstract interpretation over images) -------------
     /// A reachable store's target interval can intersect the code bytes
@@ -89,9 +86,6 @@ pub enum Rule {
     /// Stack depth unbounded, unbalanced at a join, underflowing, or
     /// exceeding the mapped user stack.
     VerifyStackDepth,
-    /// The static straight-line run-length prediction and the dynamic
-    /// block statistics diverge beyond tolerance.
-    VerifyRunLength,
 }
 
 impl Rule {
@@ -116,12 +110,10 @@ impl Rule {
         Rule::ProbeMeasurement,
         Rule::ProbeCoverage,
         Rule::ProbeAllowlist,
-        Rule::EffectBlockSafe,
         Rule::EffectResumeSafe,
         Rule::EffectForgone,
         Rule::VerifySmc,
         Rule::VerifyStackDepth,
-        Rule::VerifyRunLength,
     ];
 
     /// Stable rule identifier (what `--deny` matches).
@@ -146,12 +138,10 @@ impl Rule {
             Rule::ProbeMeasurement => "probe-measurement",
             Rule::ProbeCoverage => "probe-coverage",
             Rule::ProbeAllowlist => "probe-allowlist",
-            Rule::EffectBlockSafe => "effect-block-safe",
             Rule::EffectResumeSafe => "effect-resume-safe",
             Rule::EffectForgone => "effect-forgone",
             Rule::VerifySmc => "verify-smc",
             Rule::VerifyStackDepth => "verify-stack-depth",
-            Rule::VerifyRunLength => "verify-run-length",
         }
     }
 
@@ -186,17 +176,13 @@ impl Rule {
             Rule::ProbeMeasurement => "a probe measurement is internally inconsistent",
             Rule::ProbeCoverage => "a workload-exercised opcode x mode pair was not probed",
             Rule::ProbeAllowlist => "the probe allowlist is malformed or carries unused entries",
-            Rule::EffectBlockSafe => {
-                "an opcode claimed block-safe has a derived footprint that is not"
-            }
             Rule::EffectResumeSafe => "an opcode claimed resume-safe can perturb interrupt state",
-            Rule::EffectForgone => "a derived-safe opcode is claimed unsafe (coverage foregone)",
+            Rule::EffectForgone => {
+                "a derived-safe opcode is claimed unsafe (continuation foregone)"
+            }
             Rule::VerifySmc => "a reachable store can hit code bytes outside a declared patch site",
             Rule::VerifyStackDepth => {
                 "stack depth is unbalanced, underflows, or exceeds the user stack"
-            }
-            Rule::VerifyRunLength => {
-                "static run-length prediction diverges from dynamic block stats"
             }
         }
     }
@@ -208,11 +194,9 @@ impl Rule {
     /// stale-but-well-formed entries).
     pub fn default_severity(self) -> Severity {
         match self {
-            Rule::ImageUnreachable
-            | Rule::MixShare
-            | Rule::ModeShare
-            | Rule::EffectForgone
-            | Rule::VerifyRunLength => Severity::Warning,
+            Rule::ImageUnreachable | Rule::MixShare | Rule::ModeShare | Rule::EffectForgone => {
+                Severity::Warning
+            }
             _ => Severity::Error,
         }
     }

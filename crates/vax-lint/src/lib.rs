@@ -11,10 +11,9 @@
 //!   analyses over the decoded image proving every boundable store
 //!   misses the code bytes (SMC freedom, modulo declared patch sites)
 //!   and bounding worst-case stack depth against the mapped user stack.
-//! * **Effect audit** ([`effects`]): the block tier's hand-maintained
-//!   safety classifiers checked exhaustively against effect footprints
-//!   derived from the opcode/microcode tables, plus the static
-//!   run-length predictor reconciled against a real run's block stats.
+//! * **Effect audit** ([`effects`]): the continuation loop's
+//!   hand-maintained safety classifier checked exhaustively against
+//!   effect footprints derived from the opcode/microcode tables.
 //! * **Mix checks** ([`mix`]): the image's static instruction-mix and
 //!   addressing-mode histograms, diffed against the generating
 //!   [`ProfileParams`] within calibrated tolerances.
@@ -45,10 +44,7 @@ pub mod tables;
 
 pub use cfg::{check_image, verify_image, DecodedImage, Region};
 pub use diag::{Diagnostic, Report, Rule, Severity};
-pub use effects::{
-    lint_effects, predict_run_lengths, reconcile_run_lengths, RunLengthPrediction,
-    RUN_LENGTH_TOLERANCE,
-};
+pub use effects::lint_effects;
 pub use image::{Budgets, ImageModel};
 pub use probe::Allowlist;
 
@@ -90,30 +86,24 @@ pub fn lint_profile(params: &ProfileParams) -> Result<Report, WorkloadError> {
     Ok(report)
 }
 
-/// Statically verify every process image of `params`: decode, run the
-/// SMC/stack-depth abstract interpretation, and accumulate the block
-/// run-length prediction for later reconciliation against a dynamic
-/// run's `BlockStats`.
+/// Statically verify every process image of `params`: decode, then
+/// run the SMC/stack-depth abstract interpretation.
 ///
 /// # Errors
 ///
 /// [`WorkloadError`] when generation itself fails.
-pub fn verify_profile(
-    params: &ProfileParams,
-) -> Result<(Report, RunLengthPrediction), WorkloadError> {
+pub fn verify_profile(params: &ProfileParams) -> Result<Report, WorkloadError> {
     let plans = plan_processes(params)?;
     let mut report = Report::new();
-    let mut pred = RunLengthPrediction::empty();
     for (i, plan) in plans.iter().enumerate() {
         let model = ImageModel::from_process(&format!("{}/proc{i}", params.name), plan);
         let (decoded, decode_report) = check_image(&model);
         report.merge(decode_report);
         if let Some(image) = decoded {
             report.merge(verify_image(&model, &image));
-            pred.merge(&predict_run_lengths(&image));
         }
     }
-    Ok((report, pred))
+    Ok(report)
 }
 
 /// Debug-mode construction gate: lint the profile's tables and images

@@ -158,7 +158,7 @@ pub struct MemorySubsystem {
     t_gen: u64,
     /// Use the one-entry translation shortcut. `false` scans the TB on
     /// every translate — the straight-line reference the equivalence
-    /// suite compares against (see `CpuConfig::host_shortcuts` in
+    /// suite compares against (see `CpuConfig::fast_paths` in
     /// `vax_cpu`).
     shortcuts: bool,
     /// Bitmap over 64-byte physical blocks currently holding predecoded
@@ -211,7 +211,7 @@ impl MemorySubsystem {
     }
 
     /// Enable or disable the host-side one-entry translation shortcut
-    /// (see `CpuConfig::host_shortcuts` in `vax_cpu`). On by default;
+    /// (see `CpuConfig::fast_paths` in `vax_cpu`). On by default;
     /// `false` scans the TB on every translate, the straight-line
     /// reference behaviour.
     pub fn set_host_shortcuts(&mut self, on: bool) {

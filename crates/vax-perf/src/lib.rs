@@ -2,30 +2,29 @@
 //!
 //! The paper instruments a real machine; we instrument the *simulator*:
 //! each of the five workloads is run under identical machine
-//! configurations once per selected interpreter [`Tier`] — the naive
-//! byte-by-byte loop ([`CpuConfig::naive_loop`]), the predecode-cache
-//! fast loop ([`CpuConfig::fast_loop`]), and the block-compiled tier on
-//! top of it (the default) — and the harness reports per-workload
-//! sim-MIPS (millions of simulated instructions per host second), wall
-//! time, and the pairwise speedups.
+//! configurations twice — the naive byte-by-byte reference loop
+//! ([`CpuConfig::naive_loop`]) and the default loop with the host fast
+//! paths on ([`CpuConfig::default`]) — and the harness reports
+//! per-workload sim-MIPS (millions of simulated instructions per host
+//! second), wall time, and the speedup of the default over the naive
+//! loop.
 //!
 //! Speed without fidelity is worthless, so the harness also *proves*
-//! the tiers are the same machine:
+//! the two loops are the same machine:
 //!
 //! * the timing runs must produce **bit-identical** µPC histograms and
-//!   hardware counters (and the same simulated cycle count) across all
-//!   selected tiers;
-//! * per-tier smaller traced runs — the µPC board and the event tracer
+//!   hardware counters (and the same simulated cycle count);
+//! * per-loop smaller traced runs — the µPC board and the event tracer
 //!   tee'd off one [`upc_monitor::CycleSink`] feed — must produce
 //!   **bit-identical** event streams, and each run must pass the
 //!   three-way trace/histogram/counter reconciliation on its own;
-//! * each accelerated tier must actually engage (predecode hits for
-//!   the fast loop, replayed block instructions for the block tier),
-//!   so the equality can never be vacuous.
+//! * the default loop must actually engage its fast paths (predecode
+//!   hits and instructions retired inside the continuation loop), so
+//!   the equality can never be vacuous.
 //!
 //! Any discrepancy is recorded as a divergence and fails the bench
-//! (`vax780 bench` exits nonzero), making this a trajectory gate: an
-//! accelerated loop is only allowed to be fast, never different.
+//! (`vax780 bench` exits nonzero), making this a trajectory gate: the
+//! default loop is only allowed to be fast, never different.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,121 +32,11 @@
 use std::time::{Duration, Instant};
 
 use upc_monitor::{Command, Histogram, HistogramBoard, NullSink};
-use vax780_core::measure;
+use vax780_core::{measure, MeasuredWorkload};
 use vax_cpu::CpuConfig;
 use vax_mem::{HwCounters, MemConfig};
 use vax_trace::Tracer;
 use vax_workloads::{build_machine_with_config, profile, WorkloadKind};
-
-/// One interpreter tier of the simulator's host-side execution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// The byte-by-byte reference loop ([`CpuConfig::naive_loop`]).
-    Naive,
-    /// The predecode-cache fast loop ([`CpuConfig::fast_loop`]).
-    Fast,
-    /// The block-compiled tier ([`CpuConfig::default`]).
-    Block,
-}
-
-impl Tier {
-    /// All tiers, slowest first — also the reference order: the first
-    /// *selected* tier is the equivalence baseline for the others.
-    pub const ALL: [Tier; 3] = [Tier::Naive, Tier::Fast, Tier::Block];
-
-    /// CLI / JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Naive => "naive",
-            Tier::Fast => "fast",
-            Tier::Block => "block",
-        }
-    }
-
-    /// Parse a CLI tier name.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "naive" => Some(Tier::Naive),
-            "fast" => Some(Tier::Fast),
-            "block" => Some(Tier::Block),
-            _ => None,
-        }
-    }
-
-    /// The CPU configuration this tier benchmarks.
-    pub fn config(self) -> CpuConfig {
-        match self {
-            Tier::Naive => CpuConfig::naive_loop(),
-            Tier::Fast => CpuConfig::fast_loop(),
-            Tier::Block => CpuConfig::default(),
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Tier::Naive => 0,
-            Tier::Fast => 1,
-            Tier::Block => 2,
-        }
-    }
-}
-
-/// Which tiers a bench run times and cross-checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierSet([bool; 3]);
-
-impl TierSet {
-    /// Every tier (the pinned CI configuration).
-    pub fn all() -> TierSet {
-        TierSet([true; 3])
-    }
-
-    /// No tiers; populate with [`TierSet::insert`].
-    pub fn empty() -> TierSet {
-        TierSet([false; 3])
-    }
-
-    /// Add a tier to the set.
-    pub fn insert(&mut self, tier: Tier) {
-        self.0[tier.index()] = true;
-    }
-
-    /// Is `tier` selected?
-    pub fn contains(self, tier: Tier) -> bool {
-        self.0[tier.index()]
-    }
-
-    /// Selected tiers, slowest first.
-    pub fn iter(self) -> impl Iterator<Item = Tier> {
-        Tier::ALL.into_iter().filter(move |t| self.contains(*t))
-    }
-
-    /// Number of selected tiers.
-    pub fn len(self) -> usize {
-        self.0.iter().filter(|b| **b).count()
-    }
-
-    /// True when nothing is selected.
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// The equivalence baseline: the slowest selected tier (the naive
-    /// loop whenever it is selected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty.
-    pub fn reference(self) -> Tier {
-        self.iter().next().expect("tier set must not be empty")
-    }
-}
-
-impl Default for TierSet {
-    fn default() -> TierSet {
-        TierSet::all()
-    }
-}
 
 /// What to run. The defaults are the pinned CI configuration — change
 /// them only through the CLI flags, so `BENCH_*.json` files stay
@@ -161,12 +50,10 @@ pub struct BenchSpec {
     pub trace_instructions: u64,
     /// Warm-up instructions before each measured region.
     pub warmup: u64,
-    /// Timing repetitions per tier; the *minimum* wall time is reported.
+    /// Timing repetitions per loop; the *minimum* wall time is reported.
     /// The minimum, not the mean: simulated work is deterministic, so
     /// the fastest repetition is the one least disturbed by host noise.
     pub repeat: u32,
-    /// Which tiers to time and cross-check.
-    pub tiers: TierSet,
 }
 
 impl Default for BenchSpec {
@@ -176,31 +63,6 @@ impl Default for BenchSpec {
             trace_instructions: 20_000,
             warmup: 30_000,
             repeat: 3,
-            tiers: TierSet::all(),
-        }
-    }
-}
-
-/// How much of a run the block tier actually carried: the raw
-/// [`BlockStats`](vax_cpu::BlockStats) counters next to the instruction
-/// total they grew over, so "replayed share" is well defined.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockEngagement {
-    /// Raw block-tier counters, cumulative over the machine's lifetime
-    /// (warm-up plus the measured region — the counters cannot be
-    /// reset mid-run without perturbing the tier's hot path).
-    pub stats: vax_cpu::BlockStats,
-    /// Instructions the machine executed while those counters grew.
-    pub executed: u64,
-}
-
-impl BlockEngagement {
-    /// Fraction of executed instructions retired from inside blocks.
-    pub fn replayed_share(&self) -> f64 {
-        if self.executed == 0 {
-            0.0
-        } else {
-            self.stats.replayed as f64 / self.executed as f64
         }
     }
 }
@@ -210,33 +72,17 @@ impl BlockEngagement {
 pub struct WorkloadBench {
     /// Workload name.
     pub name: &'static str,
-    /// Instructions measured (identical in every tier by construction).
+    /// Instructions measured (identical in both loops by construction).
     pub instructions: u64,
     /// Simulated cycles of the measured region.
     pub cycles: u64,
-    /// Block-tier engagement, when the block tier was selected: how
-    /// often the tier replayed blocks and with what run lengths. This
-    /// is the dynamic side of vax-lint's static run-length prediction.
-    pub block: Option<BlockEngagement>,
-    walls: [Option<Duration>; 3],
-}
-
-impl WorkloadBench {
-    /// Host wall time of `tier`'s measured region, if it was selected.
-    pub fn wall(&self, tier: Tier) -> Option<Duration> {
-        self.walls[tier.index()]
-    }
-
-    /// Simulated MIPS of `tier`, if it was selected.
-    pub fn mips_of(&self, tier: Tier) -> Option<f64> {
-        Some(mips(self.instructions, self.wall(tier)?))
-    }
-
-    /// Wall-time ratio `base` / `over` — "how much faster is `over`
-    /// than `base`" — if both were selected.
-    pub fn speedup(&self, base: Tier, over: Tier) -> Option<f64> {
-        Some(self.wall(base)?.as_secs_f64() / self.wall(over)?.as_secs_f64().max(1e-9))
-    }
+    /// Host wall time of the naive loop's measured region (best repeat).
+    pub naive_wall: Duration,
+    /// Host wall time of the default loop's measured region (best repeat).
+    pub default_wall: Duration,
+    /// Fraction of the default machine's executed instructions (warm-up
+    /// plus measured region) retired inside the continuation loop.
+    pub continued_share: f64,
 }
 
 /// The full benchmark outcome.
@@ -247,8 +93,8 @@ pub struct BenchReport {
     /// Per-workload timing, in [`WorkloadKind::ALL`] order.
     pub workloads: Vec<WorkloadBench>,
     /// Human-readable descriptions of every equivalence violation.
-    /// Empty means every selected tier is bit-identical to the
-    /// reference tier (and actually engaged its machinery).
+    /// Empty means the default loop is bit-identical to the naive loop
+    /// (and actually engaged its fast paths).
     pub divergences: Vec<String>,
 }
 
@@ -263,48 +109,30 @@ impl BenchReport {
         self.workloads.iter().map(|w| w.instructions).sum()
     }
 
-    /// Summed wall time of `tier`, if it was selected.
-    pub fn wall(&self, tier: Tier) -> Option<Duration> {
-        self.workloads.iter().map(|w| w.wall(tier)).sum()
+    /// Summed naive-loop wall time.
+    pub fn naive_wall(&self) -> Duration {
+        self.workloads.iter().map(|w| w.naive_wall).sum()
     }
 
-    /// Composite sim-MIPS of `tier`, if it was selected.
-    pub fn mips_of(&self, tier: Tier) -> Option<f64> {
-        Some(mips(self.total_instructions(), self.wall(tier)?))
-    }
-
-    /// Composite wall-time ratio `base` / `over`, if both ran.
-    pub fn speedup(&self, base: Tier, over: Tier) -> Option<f64> {
-        Some(self.wall(base)?.as_secs_f64() / self.wall(over)?.as_secs_f64().max(1e-9))
-    }
-
-    /// The pairwise speedups shown for a tier set, as `(json_key,
-    /// base, over)` triples: each accelerated tier over the naive
-    /// loop, plus block-over-fast when both accelerated tiers ran.
-    fn speedup_keys(&self) -> Vec<(&'static str, Tier, Tier)> {
-        let t = self.spec.tiers;
-        let mut keys = Vec::new();
-        if t.contains(Tier::Naive) && t.contains(Tier::Fast) {
-            keys.push(("fast_speedup", Tier::Naive, Tier::Fast));
-        }
-        if t.contains(Tier::Naive) && t.contains(Tier::Block) {
-            keys.push(("block_speedup", Tier::Naive, Tier::Block));
-        }
-        if t.contains(Tier::Fast) && t.contains(Tier::Block) {
-            keys.push(("block_over_fast", Tier::Fast, Tier::Block));
-        }
-        keys
+    /// Summed default-loop wall time.
+    pub fn default_wall(&self) -> Duration {
+        self.workloads.iter().map(|w| w.default_wall).sum()
     }
 
     /// The report as a JSON document (the `BENCH_*.json` schema: see
     /// DESIGN.md "Host performance").
     pub fn to_json(&self) -> String {
-        let tier_names: Vec<String> = self
-            .spec
-            .tiers
-            .iter()
-            .map(|t| format!("\"{}\"", t.name()))
-            .collect();
+        let walls = |instructions: u64, naive: Duration, default: Duration| {
+            format!(
+                "\"naive_wall_s\": {:.4}, \"naive_mips\": {:.3}, \"default_wall_s\": {:.4}, \
+                 \"default_mips\": {:.3}, \"speedup\": {:.3}",
+                naive.as_secs_f64(),
+                mips(instructions, naive),
+                default.as_secs_f64(),
+                mips(instructions, default),
+                ratio(naive, default)
+            )
+        };
         let mut s = String::from("{\n");
         s.push_str(&format!(
             "  \"host\": {},\n",
@@ -312,48 +140,23 @@ impl BenchReport {
         ));
         s.push_str(&format!(
             "  \"spec\": {{\"timing_instructions\": {}, \"trace_instructions\": {}, \
-             \"warmup\": {}, \"repeat\": {}, \"tiers\": [{}]}},\n",
+             \"warmup\": {}, \"repeat\": {}}},\n",
             self.spec.timing_instructions,
             self.spec.trace_instructions,
             self.spec.warmup,
-            self.spec.repeat,
-            tier_names.join(", ")
+            self.spec.repeat
         ));
         s.push_str(&format!("  \"equivalent\": {},\n", self.is_equivalent()));
         s.push_str("  \"workloads\": [\n");
         for (i, w) in self.workloads.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"instructions\": {}, \"cycles\": {}",
-                w.name, w.instructions, w.cycles
-            ));
-            for tier in self.spec.tiers.iter() {
-                s.push_str(&format!(
-                    ", \"{}_wall_s\": {:.4}, \"{}_mips\": {:.3}",
-                    tier.name(),
-                    w.wall(tier).unwrap_or_default().as_secs_f64(),
-                    tier.name(),
-                    w.mips_of(tier).unwrap_or_default()
-                ));
-            }
-            for (key, base, over) in self.speedup_keys() {
-                s.push_str(&format!(
-                    ", \"{key}\": {:.3}",
-                    w.speedup(base, over).unwrap_or_default()
-                ));
-            }
-            if let Some(b) = &w.block {
-                let hist: Vec<String> = b.stats.run_hist.iter().map(u64::to_string).collect();
-                s.push_str(&format!(
-                    ", \"block\": {{\"replayed\": {}, \"replayed_share\": {:.4}, \
-                     \"mean_run_len\": {:.3}, \"run_hist\": [{}]}}",
-                    b.stats.replayed,
-                    b.replayed_share(),
-                    b.stats.mean_run_len(),
-                    hist.join(", ")
-                ));
-            }
-            s.push_str(&format!(
-                "}}{}\n",
+                "    {{\"name\": \"{}\", \"instructions\": {}, \"cycles\": {}, {}, \
+                 \"continued_share\": {:.4}}}{}\n",
+                w.name,
+                w.instructions,
+                w.cycles,
+                walls(w.instructions, w.naive_wall, w.default_wall),
+                w.continued_share,
                 if i + 1 < self.workloads.len() {
                     ","
                 } else {
@@ -363,80 +166,59 @@ impl BenchReport {
         }
         s.push_str("  ],\n");
         s.push_str(&format!(
-            "  \"composite\": {{\"instructions\": {}",
-            self.total_instructions()
+            "  \"composite\": {{\"instructions\": {}, {}}},\n",
+            self.total_instructions(),
+            walls(
+                self.total_instructions(),
+                self.naive_wall(),
+                self.default_wall()
+            )
         ));
-        for tier in self.spec.tiers.iter() {
-            s.push_str(&format!(
-                ", \"{}_wall_s\": {:.4}, \"{}_mips\": {:.3}",
-                tier.name(),
-                self.wall(tier).unwrap_or_default().as_secs_f64(),
-                tier.name(),
-                self.mips_of(tier).unwrap_or_default()
-            ));
-        }
-        for (key, base, over) in self.speedup_keys() {
-            s.push_str(&format!(
-                ", \"{key}\": {:.3}",
-                self.speedup(base, over).unwrap_or_default()
-            ));
-        }
-        s.push_str("},\n");
-        s.push_str("  \"divergences\": [");
-        for (i, d) in self.divergences.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\"{}\"",
-                d.replace('\\', "\\\\").replace('"', "\\\"")
-            ));
-        }
-        s.push_str("]\n}\n");
+        let divergences: Vec<String> = self
+            .divergences
+            .iter()
+            .map(|d| format!("\"{}\"", d.replace('\\', "\\\\").replace('"', "\\\"")))
+            .collect();
+        s.push_str(&format!(
+            "  \"divergences\": [{}]\n}}\n",
+            divergences.join(", ")
+        ));
         s
     }
 
     /// A fixed-width table for terminal output.
     pub fn render_table(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("{:<20} {:>12}", "workload", "instructions"));
-        for tier in self.spec.tiers.iter() {
+        let mut s = format!(
+            "{:<20} {:>12} {:>9} {:>10} {:>9} {:>12} {:>8}\n",
+            "workload",
+            "instructions",
+            "naive s",
+            "naive MIPS",
+            "default s",
+            "default MIPS",
+            "speedup"
+        );
+        let mut row = |name: &str, instructions: u64, naive: Duration, default: Duration| {
             s.push_str(&format!(
-                " {:>9} {:>10}",
-                format!("{} s", tier.name()),
-                format!("{} MIPS", tier.name())
+                "{:<20} {:>12} {:>9.3} {:>10.2} {:>9.3} {:>12.2} {:>7.2}x\n",
+                name,
+                instructions,
+                naive.as_secs_f64(),
+                mips(instructions, naive),
+                default.as_secs_f64(),
+                mips(instructions, default),
+                ratio(naive, default)
             ));
-        }
-        for (key, _, _) in self.speedup_keys() {
-            s.push_str(&format!(" {:>15}", key));
-        }
-        s.push('\n');
-        let mut row = |name: &str, instructions: u64, w: Option<&WorkloadBench>| {
-            s.push_str(&format!("{:<20} {:>12}", name, instructions));
-            for tier in self.spec.tiers.iter() {
-                let (wall, mips_v) = match w {
-                    Some(w) => (w.wall(tier), w.mips_of(tier)),
-                    None => (self.wall(tier), self.mips_of(tier)),
-                };
-                s.push_str(&format!(
-                    " {:>9.3} {:>10.2}",
-                    wall.unwrap_or_default().as_secs_f64(),
-                    mips_v.unwrap_or_default()
-                ));
-            }
-            for (_, base, over) in self.speedup_keys() {
-                let v = match w {
-                    Some(w) => w.speedup(base, over),
-                    None => self.speedup(base, over),
-                };
-                s.push_str(&format!(" {:>14.2}x", v.unwrap_or_default()));
-            }
-            s.push('\n');
         };
         for w in &self.workloads {
-            row(w.name, w.instructions, Some(w));
+            row(w.name, w.instructions, w.naive_wall, w.default_wall);
         }
-        row("composite", self.total_instructions(), None);
+        row(
+            "composite",
+            self.total_instructions(),
+            self.naive_wall(),
+            self.default_wall(),
+        );
         s
     }
 }
@@ -445,31 +227,29 @@ fn mips(instructions: u64, wall: Duration) -> f64 {
     instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6
 }
 
+fn ratio(base: Duration, over: Duration) -> f64 {
+    base.as_secs_f64() / over.as_secs_f64().max(1e-9)
+}
+
 /// One timed measurement: build, warm up (untimed), measure (timed).
-/// Returns the measurement plus the wall time of the measured region
-/// only, so machine construction and warm-up don't pollute sim-MIPS.
+/// Returns the measurement, the wall time of the measured region only
+/// (so machine construction and warm-up don't pollute sim-MIPS), and
+/// the machine's predecode hits and continued instructions.
 fn timed_run(
     kind: WorkloadKind,
-    tier: Tier,
+    config: CpuConfig,
     spec: &BenchSpec,
-) -> (
-    vax780_core::MeasuredWorkload,
-    Duration,
-    vax_cpu::PredecodeStats,
-    vax_cpu::BlockStats,
-) {
-    let mut machine =
-        build_machine_with_config(&profile(kind), tier.config(), MemConfig::default());
-    let mut null = NullSink;
+) -> (MeasuredWorkload, Duration, u64, u64) {
+    let mut machine = build_machine_with_config(&profile(kind), config, MemConfig::default());
     machine
-        .run_instructions(spec.warmup, &mut null)
+        .run_instructions(spec.warmup, &mut NullSink)
         .expect("warmup runs");
     let start = Instant::now();
     let measured = measure(&mut machine, spec.timing_instructions);
     let wall = start.elapsed();
-    let predecode = machine.cpu.predecode_stats();
-    let blocks = machine.cpu.block_stats();
-    (measured, wall, predecode, blocks)
+    let hits = machine.cpu.predecode_stats().hits;
+    let continued = machine.cpu.block_stats().replayed;
+    (measured, wall, hits, continued)
 }
 
 /// Everything a traced equivalence run observes.
@@ -483,15 +263,14 @@ struct TracedRun {
 /// Run `kind` with both instruments attached from boot (the µPC board
 /// and the event tracer tee'd off one sink feed), as `vax780 trace`
 /// does, and reconcile the instruments.
-fn traced_run(kind: WorkloadKind, tier: Tier, spec: &BenchSpec) -> TracedRun {
+fn traced_run(kind: WorkloadKind, config: CpuConfig, spec: &BenchSpec) -> TracedRun {
     // Capacity for every event: equivalence on a ring that dropped
     // events would still hold (both runs drop identically) but a full
     // stream makes the check maximally strict.
     let capacity = (spec.trace_instructions as usize)
         .saturating_mul(96)
         .clamp(1 << 16, 1 << 23);
-    let mut machine =
-        build_machine_with_config(&profile(kind), tier.config(), MemConfig::default());
+    let mut machine = build_machine_with_config(&profile(kind), config, MemConfig::default());
     let hw_base = *machine.cpu.mem().counters();
     let mut board = HistogramBoard::new();
     board.execute(Command::Start);
@@ -523,152 +302,121 @@ fn traced_run(kind: WorkloadKind, tier: Tier, spec: &BenchSpec) -> TracedRun {
     }
 }
 
-/// Compare two tiers' traced runs event-for-event and record every
-/// difference into `divergences`.
-fn check_traces(
-    name: &str,
-    tier: &str,
-    reference: &TracedRun,
-    run: &TracedRun,
-    divergences: &mut Vec<String>,
-) {
-    if !run.reconciles {
+/// Compare the default loop's traced run against the naive loop's
+/// event-for-event and record every difference into `divergences`.
+fn check_traces(name: &str, naive: &TracedRun, run: &TracedRun, divergences: &mut Vec<String>) {
+    for (label, traced) in [("naive", naive), ("default", run)] {
+        if !traced.reconciles {
+            divergences.push(format!(
+                "{name}: {label} loop fails instrument reconciliation"
+            ));
+        }
+    }
+    if naive.histogram != run.histogram {
+        divergences.push(format!("{name}: traced histograms differ"));
+    }
+    if naive.hw != run.hw {
+        divergences.push(format!("{name}: traced hardware counters differ"));
+    }
+    if naive.tracer.counters() != run.tracer.counters() {
+        divergences.push(format!("{name}: trace counters differ"));
+    }
+    if naive.tracer.now() != run.tracer.now() {
         divergences.push(format!(
-            "{name}: {tier} tier fails instrument reconciliation"
-        ));
-    }
-    if reference.histogram != run.histogram {
-        divergences.push(format!("{name}: {tier} traced histograms differ"));
-    }
-    if reference.hw != run.hw {
-        divergences.push(format!("{name}: {tier} traced hardware counters differ"));
-    }
-    if reference.tracer.counters() != run.tracer.counters() {
-        divergences.push(format!("{name}: {tier} trace counters differ"));
-    }
-    if reference.tracer.now() != run.tracer.now() {
-        divergences.push(format!(
-            "{name}: {tier} derived trace clocks differ ({} vs {})",
-            reference.tracer.now(),
+            "{name}: derived trace clocks differ ({} vs {})",
+            naive.tracer.now(),
             run.tracer.now()
         ));
     }
-    if reference.tracer.dropped() != run.tracer.dropped()
-        || reference.tracer.len() != run.tracer.len()
-        || !reference.tracer.events().eq(run.tracer.events())
+    if naive.tracer.dropped() != run.tracer.dropped()
+        || naive.tracer.len() != run.tracer.len()
+        || !naive.tracer.events().eq(run.tracer.events())
     {
-        divergences.push(format!("{name}: {tier} trace event streams differ"));
+        divergences.push(format!("{name}: trace event streams differ"));
     }
 }
 
-/// Run the full benchmark: per-workload per-tier timing with
-/// bit-identity checks against the slowest selected tier, plus
-/// traced-run stream equivalence and three-way reconciliation per tier.
+/// Run the full benchmark: per-workload timing of both loops with
+/// bit-identity checks of the default against the naive loop, plus
+/// traced-run stream equivalence and three-way reconciliation.
 pub fn run_bench(spec: &BenchSpec) -> BenchReport {
     run_bench_with_progress(spec, |_| {})
 }
 
 /// [`run_bench`] with a progress callback (one line per completed
 /// stage, for interactive use).
-///
-/// # Panics
-///
-/// Panics if `spec.tiers` is empty.
 pub fn run_bench_with_progress(spec: &BenchSpec, progress: impl Fn(&str)) -> BenchReport {
-    let reference = spec.tiers.reference();
     let mut workloads = Vec::new();
     let mut divergences = Vec::new();
     for kind in WorkloadKind::ALL {
         let name = kind.name();
-        // Interleave the repetitions (naive, fast, block, naive, …) so
-        // a burst of host load penalizes every tier alike, and keep
-        // each tier's best time.
-        let mut best: [Option<(vax780_core::MeasuredWorkload, Duration)>; 3] = [None, None, None];
-        let mut block_engagement = None;
+        // Interleave the repetitions (naive, default, naive, …) so a
+        // burst of host load penalizes both loops alike, and keep each
+        // loop's best time.
+        let mut naive: Option<(MeasuredWorkload, Duration)> = None;
+        let mut default: Option<(MeasuredWorkload, Duration)> = None;
+        let mut continued_share = 0.0;
         for rep in 0..spec.repeat.max(1) {
-            for tier in spec.tiers.iter() {
-                let (m, w, predecode, blocks) = timed_run(kind, tier, spec);
-                if rep == 0 && tier == Tier::Block {
-                    // Deterministic simulation: every repetition sees
-                    // identical counters, so the first one suffices.
-                    block_engagement = Some(BlockEngagement {
-                        stats: blocks,
-                        executed: spec.warmup + m.instructions,
-                    });
-                }
+            for (label, config, best) in [
+                ("naive", CpuConfig::naive_loop(), &mut naive),
+                ("default", CpuConfig::default(), &mut default),
+            ] {
+                let (m, wall, hits, continued) = timed_run(kind, config, spec);
                 if rep == 0 {
                     // Engagement: the measured equality below is only
-                    // meaningful if each accelerated tier actually ran
-                    // its machinery.
-                    if tier == Tier::Fast && predecode.hits == 0 {
-                        divergences
-                            .push(format!("{name}: fast loop never hit the predecode cache"));
-                    }
-                    if tier == Tier::Block && blocks.replayed == 0 {
-                        divergences.push(format!("{name}: block tier never entered a block"));
+                    // meaningful if the default loop actually ran its
+                    // fast paths. Deterministic simulation: every
+                    // repetition sees identical counters.
+                    if config.fast_paths {
+                        if hits == 0 {
+                            divergences.push(format!(
+                                "{name}: default loop never hit the predecode cache"
+                            ));
+                        }
+                        if continued == 0 {
+                            divergences.push(format!("{name}: default loop never continued a run"));
+                        }
+                        continued_share =
+                            continued as f64 / (spec.warmup + m.instructions).max(1) as f64;
                     }
                     progress(&format!(
-                        "{name}: {} run, {:.2}s (predecode {} hits, block {} replayed)",
-                        tier.name(),
-                        w.as_secs_f64(),
-                        predecode.hits,
-                        blocks.replayed
+                        "{name}: {label} run, {:.2}s (predecode {hits} hits, {continued} continued)",
+                        wall.as_secs_f64()
                     ));
                 }
-                let slot = &mut best[tier.index()];
-                if slot.as_ref().is_none_or(|(_, old)| w < *old) {
-                    *slot = Some((m, w));
+                if best.as_ref().is_none_or(|(_, old)| wall < *old) {
+                    *best = Some((m, wall));
                 }
             }
         }
-        let (ref_measured, _) = best[reference.index()]
-            .as_ref()
-            .expect("reference tier was timed");
-        for tier in spec.tiers.iter().filter(|t| *t != reference) {
-            let (m, _) = best[tier.index()].as_ref().expect("tier was timed");
-            if ref_measured.histogram != m.histogram {
-                divergences.push(format!("{name}: {} timed histograms differ", tier.name()));
-            }
-            if ref_measured.counters != m.counters {
-                divergences.push(format!(
-                    "{name}: {} timed hardware counters differ",
-                    tier.name()
-                ));
-            }
-            if ref_measured.cycles != m.cycles || ref_measured.instructions != m.instructions {
-                divergences.push(format!(
-                    "{name}: {} simulated progress differs ({} insns/{} cycles vs {} insns/{} cycles)",
-                    tier.name(),
-                    ref_measured.instructions,
-                    ref_measured.cycles,
-                    m.instructions,
-                    m.cycles
-                ));
-            }
+        let (naive_m, naive_wall) = naive.expect("naive loop was timed");
+        let (default_m, default_wall) = default.expect("default loop was timed");
+        if naive_m.histogram != default_m.histogram {
+            divergences.push(format!("{name}: timed histograms differ"));
         }
-        let ref_traced = traced_run(kind, reference, spec);
-        if !ref_traced.reconciles {
+        if naive_m.counters != default_m.counters {
+            divergences.push(format!("{name}: timed hardware counters differ"));
+        }
+        if naive_m.cycles != default_m.cycles || naive_m.instructions != default_m.instructions {
             divergences.push(format!(
-                "{name}: {} tier fails instrument reconciliation",
-                reference.name()
+                "{name}: simulated progress differs ({} insns/{} cycles vs {} insns/{} cycles)",
+                naive_m.instructions, naive_m.cycles, default_m.instructions, default_m.cycles
             ));
         }
-        for tier in spec.tiers.iter().filter(|t| *t != reference) {
-            let traced = traced_run(kind, tier, spec);
-            check_traces(name, tier.name(), &ref_traced, &traced, &mut divergences);
-        }
+        check_traces(
+            name,
+            &traced_run(kind, CpuConfig::naive_loop(), spec),
+            &traced_run(kind, CpuConfig::default(), spec),
+            &mut divergences,
+        );
         progress(&format!("{name}: traces compared"));
-        let (instructions, cycles) = (ref_measured.instructions, ref_measured.cycles);
-        let mut walls = [None; 3];
-        for tier in spec.tiers.iter() {
-            walls[tier.index()] = best[tier.index()].as_ref().map(|(_, w)| *w);
-        }
         workloads.push(WorkloadBench {
             name,
-            instructions,
-            cycles,
-            block: block_engagement,
-            walls,
+            instructions: naive_m.instructions,
+            cycles: naive_m.cycles,
+            naive_wall,
+            default_wall,
+            continued_share,
         });
     }
     BenchReport {
@@ -682,8 +430,8 @@ pub fn run_bench_with_progress(spec: &BenchSpec, progress: impl Fn(&str)) -> Ben
 mod tests {
     use super::*;
 
-    /// A miniature three-tier bench must come back equivalent — this is
-    /// the same machinery the CI gate runs at full size.
+    /// A miniature bench must come back equivalent — this is the same
+    /// machinery the CI gate runs at full size.
     #[test]
     fn mini_bench_is_equivalent() {
         let spec = BenchSpec {
@@ -691,7 +439,6 @@ mod tests {
             trace_instructions: 2_000,
             warmup: 1_000,
             repeat: 1,
-            tiers: TierSet::all(),
         };
         let report = run_bench(&spec);
         assert!(
@@ -702,57 +449,16 @@ mod tests {
         assert_eq!(report.workloads.len(), 5);
         let json = report.to_json();
         assert!(json.contains("\"equivalent\": true"));
-        assert!(json.contains("\"fast_speedup\""));
-        assert!(json.contains("\"block_speedup\""));
-        assert!(json.contains("\"block_over_fast\""));
-        assert!(json.contains("\"tiers\": [\"naive\", \"fast\", \"block\"]"));
-        assert!(
-            json.contains("\"block\": {\"replayed\": "),
-            "block engagement in JSON"
-        );
-        assert!(json.contains("\"run_hist\": ["));
+        assert!(json.contains("\"default_mips\""));
+        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"continued_share\""));
+        assert!(!json.contains("tier"));
         for w in &report.workloads {
-            let b = w.block.expect("block tier selected => engagement recorded");
-            assert!(b.stats.replayed > 0, "{}: block tier engaged", w.name);
-            assert!(b.replayed_share() > 0.0 && b.replayed_share() <= 1.0);
+            assert!(
+                w.continued_share > 0.0 && w.continued_share <= 1.0,
+                "{}: continuation loop engaged",
+                w.name
+            );
         }
-    }
-
-    /// A single-tier spec degrades gracefully: no speedup columns, the
-    /// selected tier is its own reference, still equivalent.
-    #[test]
-    fn single_tier_bench_reports_no_speedups() {
-        let mut tiers = TierSet::empty();
-        tiers.insert(Tier::Block);
-        let spec = BenchSpec {
-            timing_instructions: 2_000,
-            trace_instructions: 1_000,
-            warmup: 500,
-            repeat: 1,
-            tiers,
-        };
-        let report = run_bench(&spec);
-        assert!(
-            report.is_equivalent(),
-            "divergences: {:?}",
-            report.divergences
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"tiers\": [\"block\"]"));
-        assert!(!json.contains("speedup"));
-        assert!(report.speedup(Tier::Naive, Tier::Block).is_none());
-    }
-
-    #[test]
-    fn tier_set_reference_prefers_slowest() {
-        assert_eq!(TierSet::all().reference(), Tier::Naive);
-        let mut t = TierSet::empty();
-        t.insert(Tier::Block);
-        t.insert(Tier::Fast);
-        assert_eq!(t.reference(), Tier::Fast);
-        assert_eq!(t.len(), 2);
-        assert!(!t.contains(Tier::Naive));
-        assert_eq!(Tier::parse("block"), Some(Tier::Block));
-        assert_eq!(Tier::parse("warp"), None);
     }
 }

@@ -14,34 +14,26 @@ use vax_fault::{FaultClass, FaultPlan};
 use vax_mem::MemConfig;
 use vax_workloads::{profile, WorkloadKind};
 
-/// Which execution loop the job's CPU model uses.
+/// Which execution loop the job's CPU model uses. Results are
+/// bit-identical either way; the tier only picks the host-side loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// Reference interpreter (`CpuConfig::naive_loop`).
     Naive,
-    /// Predecoded fast loop (`CpuConfig::fast_loop`).
-    Fast,
-    /// Block-compiled tier (the default `CpuConfig`).
+    /// The default loop, host fast paths on (`CpuConfig::default`).
     #[default]
-    Block,
+    Default,
 }
 
 impl Tier {
-    /// Canonical name, as used in `tier=` fields.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Naive => "naive",
-            Tier::Fast => "fast",
-            Tier::Block => "block",
-        }
-    }
-
-    /// Parse a tier name.
+    /// Parse a `tier=` value. `naive` is the only tier a rendered spec
+    /// names; `fast` and `block`, the retired names of loops the default
+    /// replaced, still parse as the default so existing journals and
+    /// scripts replay unchanged.
     pub fn parse(s: &str) -> Option<Tier> {
         match s {
             "naive" => Some(Tier::Naive),
-            "fast" => Some(Tier::Fast),
-            "block" => Some(Tier::Block),
+            "fast" | "block" => Some(Tier::Default),
             _ => None,
         }
     }
@@ -90,7 +82,7 @@ impl JobSpec {
             instructions: 20_000,
             warmup: 5_000,
             seed: None,
-            tier: Tier::Block,
+            tier: Tier::Default,
             decode_overlap: false,
             cache_kb: None,
             cache_ways: None,
@@ -116,8 +108,8 @@ impl JobSpec {
         if let Some(seed) = self.seed {
             out.push_str(&format!(" seed={seed}"));
         }
-        if self.tier != Tier::Block {
-            out.push_str(&format!(" tier={}", self.tier.name()));
+        if self.tier == Tier::Naive {
+            out.push_str(" tier=naive");
         }
         if self.decode_overlap {
             out.push_str(" decode-overlap=1");
@@ -185,9 +177,8 @@ impl JobSpec {
                 "warmup" => spec.warmup = number("an instruction count")?,
                 "seed" => spec.seed = Some(number("a seed")?),
                 "tier" => {
-                    spec.tier = Tier::parse(value).ok_or_else(|| {
-                        format!("tier: unknown tier {value:?} (expected naive, fast, or block)")
-                    })?;
+                    spec.tier = Tier::parse(value)
+                        .ok_or_else(|| format!("tier: unknown tier {value:?} (expected naive)"))?;
                 }
                 "decode-overlap" => {
                     spec.decode_overlap = match value {
@@ -271,8 +262,7 @@ impl JobSpec {
     pub fn cpu_config(&self) -> CpuConfig {
         let mut cpu = match self.tier {
             Tier::Naive => CpuConfig::naive_loop(),
-            Tier::Fast => CpuConfig::fast_loop(),
-            Tier::Block => CpuConfig::default(),
+            Tier::Default => CpuConfig::default(),
         };
         cpu.decode_overlap = self.decode_overlap;
         cpu
@@ -342,7 +332,7 @@ mod tests {
         spec.instructions = 4_000;
         spec.warmup = 1_000;
         spec.seed = Some(42);
-        spec.tier = Tier::Fast;
+        spec.tier = Tier::Naive;
         spec.decode_overlap = true;
         spec.cache_kb = Some(4);
         spec.tb_entries = Some(64);
@@ -359,9 +349,31 @@ mod tests {
         let spec = JobSpec::parse("workload=commercial instructions=8000 warmup=2000")
             .expect("minimal line");
         assert_eq!(spec.workload, WorkloadKind::Commercial);
-        assert_eq!(spec.tier, Tier::Block);
+        assert_eq!(spec.tier, Tier::Default);
         assert!(spec.faults.is_empty());
         assert!(spec.fault_plan().is_none());
+    }
+
+    /// The retired tier names parse as the default and render away, so
+    /// journals and scripts that name them replay unchanged — with
+    /// bit-identical results, by the loops' equivalence contract.
+    #[test]
+    fn retired_tier_names_parse_as_the_default() {
+        let plain = JobSpec::parse("workload=sci-eng instructions=4000").expect("plain");
+        for name in ["fast", "block"] {
+            let line = format!("workload=sci-eng instructions=4000 tier={name}");
+            let spec = JobSpec::parse(&line).expect("retired tier name parses");
+            assert_eq!(spec.tier, Tier::Default, "tier={name}");
+            assert_eq!(spec, plain, "tier={name}");
+            assert_eq!(
+                spec.render(),
+                "workload=sci-eng instructions=4000 warmup=5000"
+            );
+            assert_eq!(spec.cpu_config(), CpuConfig::default(), "tier={name}");
+        }
+        let naive = JobSpec::parse("workload=sci-eng instructions=4000 tier=naive").expect("naive");
+        assert_eq!(naive.cpu_config(), CpuConfig::naive_loop());
+        assert!(naive.render().ends_with(" tier=naive"));
     }
 
     #[test]
@@ -376,6 +388,7 @@ mod tests {
             ("workload=sci-eng faults=warp-core", "fault class"),
             ("workload=sci-eng instructions=0", "at least 1"),
             ("workload=sci-eng tier=turbo", "tier"),
+            ("workload=sci-eng tier=default", "tier"),
         ] {
             let err = JobSpec::parse(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");

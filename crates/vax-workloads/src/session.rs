@@ -83,8 +83,9 @@ impl Machine {
         }
         // Everything due at `now` has been posted, so each source's next
         // firing is strictly in the future: publish the earliest one as
-        // the CPU's event horizon. The block tier stops before crossing
-        // it, which makes the pump calls it skips provable no-ops.
+        // the CPU's event horizon. The continuation loop stops before
+        // crossing it, which makes the pump calls it skips provable
+        // no-ops.
         let next_dma = if self.dma_period > 0 {
             self.next_dma
         } else {
@@ -105,9 +106,9 @@ impl Machine {
     }
 
     /// Up to `budget` instructions (or one interrupt service), with
-    /// event pumping: the block tier may retire a whole straight-line
-    /// run in one call, but never more than `budget` instructions and
-    /// never past the next external event.
+    /// event pumping: the continuation loop may retire a whole run in
+    /// one call, but never more than `budget` instructions and never
+    /// past the next external event.
     ///
     /// # Errors
     ///

@@ -31,7 +31,7 @@
 //! vax780 report --histogram FILE [--instructions-hint N] [--json FILE]
 //! vax780 disasm --workload NAME [--function K] [--lines N]
 //! vax780 bench [--instructions N] [--trace-instructions N] [--warmup N]
-//!              [--tier naive|fast|block]... [--json FILE]
+//!              [--repeat N] [--json FILE]
 //! vax780 list
 //! ```
 //!
@@ -68,10 +68,9 @@
 //! `report` re-analyses a saved histogram (the paper's "additional
 //! interpretation of the raw histogram data", §2.2); `disasm` shows the
 //! generated VAX code a workload actually runs; `bench` measures the
-//! *simulator* — the naive byte-by-byte loop vs the predecode-cache
-//! fast loop vs the block-compiled tier (select with `--tier`, default
-//! all three) over all five workloads — and fails unless every tier
-//! produces bit-identical histograms, counters, and trace streams.
+//! *simulator* — the naive byte-by-byte loop vs the default loop with
+//! its host fast paths over all five workloads — and fails unless both
+//! loops produce bit-identical histograms, counters, and trace streams.
 //!
 //! Unrecognized options are an error: a typo aborts the run instead of
 //! silently measuring the defaults.
@@ -140,7 +139,7 @@ const USAGE: &str =
      \x20       --process-workers  --metrics\n\
      \x20       (--jobs 0 = no local workers; remote `vax780 worker` only)\n\
      enqueue (--queue FILE | --socket PATH)  --client NAME  --spec LINE (repeatable)\n\
-     \x20       (spec: workload=NAME instructions=N warmup=N [seed=N] [tier=T]\n\
+     \x20       (spec: workload=NAME instructions=N warmup=N [seed=N] [tier=naive]\n\
      \x20        [decode-overlap=1] [cache-kb=N] [cache-ways=N] [tb-entries=N]\n\
      \x20        [write-buffer=N] [faults=A+B fault-seed=N fault-count=N fault-window=N])\n\
      status  (--queue FILE | --socket PATH)\n\
@@ -168,10 +167,9 @@ const USAGE: &str =
      lint    --profile NAME  --all-profiles  --image FILE\n\
      \x20       --emit-image FILE  --effects  --list-rules\n\
      \x20       --jsonl  --deny RULE|all\n\
-     verify  --profile NAME|--all-profiles  --instructions N\n\
-     \x20       --static-only  --jsonl  --deny RULE|all\n\
+     verify  --profile NAME|--all-profiles  --jsonl  --deny RULE|all\n\
      bench   --instructions N  --trace-instructions N  --warmup N\n\
-     \x20       --repeat N  --tier naive|fast|block (repeatable)  --json FILE\n\
+     \x20       --repeat N  --json FILE\n\
      list    (print workload names)";
 
 /// Option spec for one subcommand: `(name, takes_value)`.
@@ -286,7 +284,6 @@ const BENCH_SPEC: Spec = &[
     ("--trace-instructions", true),
     ("--warmup", true),
     ("--repeat", true),
-    ("--tier", true),
     ("--json", true),
 ];
 const LINT_SPEC: Spec = &[
@@ -302,8 +299,6 @@ const LINT_SPEC: Spec = &[
 const VERIFY_SPEC: Spec = &[
     ("--profile", true),
     ("--all-profiles", false),
-    ("--instructions", true),
-    ("--static-only", false),
     ("--jsonl", false),
     ("--deny", true),
 ];
@@ -1585,27 +1580,12 @@ fn cmd_inject(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Benchmark the simulator: the selected interpreter tiers (default
-/// naive, fast, and block) over all five workloads, with bit-identity
-/// verification of every instrument. Nonzero exit on any divergence —
-/// speed is only reported once the tiers are proven to be the same
-/// machine.
+/// Benchmark the simulator: the naive loop against the default loop
+/// over all five workloads, with bit-identity verification of every
+/// instrument. Nonzero exit on any divergence — speed is only reported
+/// once the loops are proven to be the same machine.
 fn cmd_bench(args: &[String]) -> ExitCode {
     let mut spec = vax_perf::BenchSpec::default();
-    let tier_args = opt_all(args, "--tier");
-    if !tier_args.is_empty() {
-        let mut tiers = vax_perf::TierSet::empty();
-        for s in tier_args {
-            match vax_perf::Tier::parse(s) {
-                Some(tier) => tiers.insert(tier),
-                None => {
-                    eprintln!("--tier wants naive, fast, or block, got '{s}'");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        spec.tiers = tiers;
-    }
     if let Some(s) = opt(args, "--instructions") {
         match s.parse() {
             Ok(n) => spec.timing_instructions = n,
@@ -1642,19 +1622,13 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             }
         }
     }
-    let tier_list: Vec<&str> = spec.tiers.iter().map(|t| t.name()).collect();
     eprintln!(
-        "benchmarking: 5 workloads x {} timed (best of {}) + {} traced instructions, tiers: {} ...",
-        spec.timing_instructions,
-        spec.repeat,
-        spec.trace_instructions,
-        tier_list.join(" vs ")
+        "benchmarking: 5 workloads x {} timed (best of {}) + {} traced instructions, \
+         naive vs default ...",
+        spec.timing_instructions, spec.repeat, spec.trace_instructions
     );
     let report = vax_perf::run_bench_with_progress(&spec, |line| eprintln!("  {line}"));
-    println!(
-        "=== simulator benchmark ({} tiers) ===",
-        tier_list.join(" vs ")
-    );
+    println!("=== simulator benchmark (naive vs default loop) ===");
     print!("{}", report.render_table());
     if let Some(path) = opt(args, "--json") {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -1926,7 +1900,7 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
 /// `vax780 lint`: run the static analyzers. The table audits always
 /// run; `--profile`/`--all-profiles` additionally generate and lint
 /// workload images, `--image` lints a serialized image file, and
-/// `--effects` adds the block-tier effect audit. `--list-rules` prints
+/// `--effects` adds the continuation loop's effect audit. `--list-rules` prints
 /// the rule catalog (id, default severity, one-line doc) and exits.
 /// Exit status is nonzero when any error-severity finding remains
 /// after `--deny` promotion.
@@ -2045,13 +2019,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// `vax780 verify`: audit the block tier's safety claims and statically
-/// verify workload images by abstract interpretation. Always runs the
-/// derived effect audit; then per profile: decode, SMC-freedom and
-/// stack-depth verification, and the static run-length prediction
-/// reconciled against the block statistics of a real run on the block
-/// tier (skipped under `--static-only`). Exit status is nonzero when
-/// any error-severity finding remains after `--deny` promotion.
+/// `vax780 verify`: audit the continuation loop's safety claim and
+/// statically verify workload images by abstract interpretation. Always
+/// runs the derived effect audit; then per profile: decode, SMC-freedom
+/// and stack-depth verification. Exit status is nonzero when any
+/// error-severity finding remains after `--deny` promotion.
 fn cmd_verify(args: &[String]) -> ExitCode {
     use vax_lint::Rule;
 
@@ -2082,67 +2054,18 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         eprintln!("vax780 verify: need --profile NAME or --all-profiles");
         return ExitCode::FAILURE;
     }
-    let mut instructions: u64 = 200_000;
-    if let Some(s) = opt(args, "--instructions") {
-        match s.parse() {
-            Ok(n) if n > 0 => instructions = n,
-            _ => {
-                eprintln!("--instructions wants a positive integer, got '{s}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
-    // The classifiers the image verification leans on (block-safe /
-    // resume-safe) must themselves be sound, so the effect audit
-    // always runs first.
+    // The classifier the continuation loop leans on must itself be
+    // sound, so the effect audit always runs first.
     let mut report = vax_lint::lint_effects(&ControlStore::build());
-
     for kind in kinds {
-        let params = profile(kind);
-        let (profile_report, pred) = match vax_lint::verify_profile(&params) {
-            Ok(x) => x,
+        match vax_lint::verify_profile(&profile(kind)) {
+            Ok(r) => report.merge(r),
             Err(e) => {
                 eprintln!("vax780 verify: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        report.merge(profile_report);
-        eprintln!(
-            "{}: static prediction: {} blocks, mean run {:.2}, max {}, coverage {:.0}%",
-            params.name,
-            pred.blocks(),
-            pred.mean_run_len(),
-            pred.max_run_len(),
-            pred.coverage() * 100.0
-        );
-        if flag(args, "--static-only") {
-            continue;
         }
-        let mut machine = vax_workloads::build_machine_with_config(
-            &params,
-            CpuConfig::default(), // the default config is the block tier
-            vax_mem::MemConfig::default(),
-        );
-        let mut sink = upc_monitor::NullSink;
-        if let Err(e) = machine.run_instructions(instructions, &mut sink) {
-            eprintln!("vax780 verify: dynamic run of {} failed: {e}", params.name);
-            return ExitCode::FAILURE;
-        }
-        let stats = machine.cpu.block_stats();
-        eprintln!(
-            "{}: dynamic run ({instructions} insns): {} block entries, mean run {:.2}, {} replayed",
-            params.name,
-            stats.hits,
-            stats.mean_run_len(),
-            stats.replayed
-        );
-        report.merge(vax_lint::reconcile_run_lengths(
-            params.name,
-            &pred,
-            &stats,
-            vax_lint::RUN_LENGTH_TOLERANCE,
-        ));
     }
 
     report.apply_deny(&deny);

@@ -220,6 +220,32 @@ fn rejects_unknown_flags_naming_the_flag() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires a value"));
 }
 
+/// The options of the retired block tier and the dynamic verify pass
+/// are gone: naming one fails up front, naming the option, instead of
+/// silently benchmarking or verifying the defaults.
+#[test]
+fn retired_bench_and_verify_options_are_rejected_naming_the_option() {
+    for (args, option) in [
+        (&["bench", "--tier", "block"][..], "--tier"),
+        (
+            &["verify", "--all-profiles", "--static-only"],
+            "--static-only",
+        ),
+        (
+            &["verify", "--all-profiles", "--instructions", "200000"],
+            "--instructions",
+        ),
+    ] {
+        let out = vax780().args(args).output().expect("runs");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unrecognized option '{option}'")),
+            "{args:?}: stderr should name {option}:\n{err}"
+        );
+    }
+}
+
 #[test]
 fn retry_flags_reject_non_numeric_values_naming_the_flag() {
     for sub in ["run", "sweep", "serve", "drain"] {

@@ -7,8 +7,9 @@ use vax_analysis::tables::{Table1, Table2, Table3, Table5, Table8, Table9};
 use vax_analysis::{Column, Section4Stats};
 use vax_arch::OpcodeGroup;
 use vax_cpu::CpuConfig;
+use vax_mem::{CacheConfig, MemConfig};
 use vax_ucode::Row;
-use vax_workloads::{build_machine, profile, WorkloadKind};
+use vax_workloads::{build_machine, profile, ProfileParams, WorkloadKind};
 
 const QUICK: u64 = 25_000;
 
@@ -231,5 +232,86 @@ fn all_five_workloads_run_and_differ() {
     assert!(
         sci > com,
         "sci/eng should be more float-heavy: {float_shares:?}"
+    );
+}
+
+/// Instructions per point of the memory-system ablation shapes below:
+/// the size the paper-table ablations have always used, and large
+/// enough that each shape holds at every point.
+const ABLATION: u64 = 50_000;
+
+/// The timesharing-light profile under `params` and `mem`.
+fn ablation_point(params: ProfileParams, mem: MemConfig) -> vax_analysis::Analysis {
+    Experiment::with_params(params)
+        .warmup(15_000)
+        .instructions(ABLATION)
+        .mem_config(mem)
+        .run()
+        .analysis()
+}
+
+#[test]
+fn read_misses_do_not_rise_with_cache_size() {
+    let rates: Vec<f64> = [2u32, 4, 8, 16, 32]
+        .into_iter()
+        .map(|kb| {
+            let mem = MemConfig {
+                cache: CacheConfig {
+                    size_bytes: kb * 1024,
+                    ..CacheConfig::default()
+                },
+                ..MemConfig::default()
+            };
+            let a = ablation_point(profile(WorkloadKind::TimesharingLight), mem);
+            Section4Stats::from_analysis(&a).cache_miss_per_instr()
+        })
+        .collect();
+    assert!(
+        rates.windows(2).all(|w| w[0] >= w[1] - 1e-6),
+        "read misses per instruction must fall (weakly) with cache size: {rates:?}"
+    );
+}
+
+/// §5 blames the CALL/RET write stalls on "the one-longword write
+/// buffer": deeper buffers absorb the push bursts.
+#[test]
+fn write_stall_falls_with_write_buffer_depth() {
+    let series: Vec<f64> = [1u32, 2, 4, 8]
+        .into_iter()
+        .map(|entries| {
+            let mem = MemConfig {
+                write_buffer_entries: entries,
+                ..MemConfig::default()
+            };
+            let a = ablation_point(profile(WorkloadKind::TimesharingLight), mem);
+            Table8::from_analysis(&a).col_totals[Column::WStall.index()]
+        })
+        .collect();
+    assert!(
+        series.windows(2).all(|w| w[0] >= w[1] - 1e-6),
+        "W-stall must fall (weakly) with buffer depth: {series:?}"
+    );
+    assert!(
+        series[0] > 2.0 * series[3].max(0.01),
+        "a depth-1 buffer must stall on writes more than twice as much as depth 8: {series:?}"
+    );
+}
+
+/// §3.4: every `LDPCTX` flushes the process half of the TB, so a
+/// shorter scheduling quantum raises the TB miss rate.
+#[test]
+fn shorter_quanta_raise_tb_misses() {
+    let rate = |timer_period: u64| {
+        let params = ProfileParams {
+            timer_period,
+            ..profile(WorkloadKind::TimesharingLight)
+        };
+        let a = ablation_point(params, MemConfig::default());
+        Section4Stats::from_analysis(&a).tb_miss_per_instr
+    };
+    let (short, long) = (rate(16_000), rate(256_000));
+    assert!(
+        short > long,
+        "shorter quanta must flush the TB more often: {short} vs {long}"
     );
 }

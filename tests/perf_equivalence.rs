@@ -1,13 +1,11 @@
-//! The host-loop equivalence contract: both accelerated interpreters —
-//! the predecode fast loop (`CpuConfig::fast_loop`) and the
-//! block-compiled tier on top of it (`CpuConfig::default`) — must be
-//! *indistinguishable* from the naive byte-by-byte loop
-//! (`CpuConfig::naive_loop`) to everything that observes the simulated
-//! machine — µPC histograms, hardware counters, and the full trace
-//! event stream — across every workload profile, while faults are
-//! being injected, and across a checkpoint/resume boundary (a campaign
-//! checkpointed by one loop must resume under any other without a bit
-//! of difference).
+//! The host-loop equivalence contract: the default loop, host fast
+//! paths on (`CpuConfig::default`), must be *indistinguishable* from the
+//! naive byte-by-byte loop (`CpuConfig::naive_loop`) to everything that
+//! observes the simulated machine — µPC histograms, hardware counters,
+//! and the full trace event stream — across every workload profile,
+//! while faults are being injected, and across a checkpoint/resume
+//! boundary (a campaign checkpointed by one loop must resume under the
+//! other without a bit of difference).
 
 use upc_monitor::{Command, HistogramBoard};
 use vax780_core::{Checkpoint, CompositeStudy, MeasuredWorkload};
@@ -40,7 +38,7 @@ struct Observed {
     fired: Vec<FiredFault>,
     pending_ib_tb_miss: bool,
     predecode_hits: u64,
-    block_replayed: u64,
+    continued: u64,
     reconciled: bool,
 }
 
@@ -92,77 +90,71 @@ fn observed_run(
         fired: machine.cpu.mem().faults_fired(),
         pending_ib_tb_miss: machine.cpu.pending_ib_tb_miss(),
         predecode_hits: machine.cpu.predecode_stats().hits,
-        block_replayed: machine.cpu.block_stats().replayed,
+        continued: machine.cpu.block_stats().replayed,
         reconciled,
     }
 }
 
 /// Assert every observable of two runs is bit-identical.
-fn assert_indistinguishable(name: &str, naive: &Observed, fast: &Observed) {
+fn assert_indistinguishable(name: &str, naive: &Observed, default: &Observed) {
     assert_eq!(
-        naive.histogram, fast.histogram,
+        naive.histogram, default.histogram,
         "{name}: histograms differ between loops"
     );
     assert_eq!(
-        naive.hw, fast.hw,
+        naive.hw, default.hw,
         "{name}: hardware counters differ between loops"
     );
     assert_eq!(
-        naive.events, fast.events,
+        naive.events, default.events,
         "{name}: trace event streams differ between loops"
     );
     assert_eq!(
-        naive.pending_ib_tb_miss, fast.pending_ib_tb_miss,
+        naive.pending_ib_tb_miss, default.pending_ib_tb_miss,
         "{name}: trailing IB state differs between loops"
     );
     assert!(naive.reconciled, "{name}: naive loop fails reconciliation");
-    assert!(fast.reconciled, "{name}: fast loop fails reconciliation");
+    assert!(
+        default.reconciled,
+        "{name}: default loop fails reconciliation"
+    );
 }
 
-/// Every workload profile, all three tiers, full trace-stream
-/// equality. Each accelerated run must also actually *be* its tier —
-/// predecode hits for the fast loop, replayed block instructions for
-/// the block tier — so this can never silently degrade into comparing
-/// naive with naive.
+/// Every workload profile, both loops, full trace-stream equality. The
+/// default run must also actually *be* the default loop — predecode
+/// hits and instructions retired inside the continuation loop — so
+/// this can never silently degrade into comparing naive with naive.
 #[test]
 fn all_profiles_bit_identical_across_loops() {
     for (i, kind) in WorkloadKind::ALL.into_iter().enumerate() {
         let params = small_profile(kind, 0x5EED ^ i as u64);
         let naive = observed_run(&params, CpuConfig::naive_loop(), None, 1_500, 4_000);
-        let fast = observed_run(&params, CpuConfig::fast_loop(), None, 1_500, 4_000);
-        let block = observed_run(&params, CpuConfig::default(), None, 1_500, 4_000);
+        let default = observed_run(&params, CpuConfig::default(), None, 1_500, 4_000);
         assert_eq!(
-            naive.predecode_hits,
-            0,
-            "{}: naive loop must not touch the predecode cache",
+            (naive.predecode_hits, naive.continued),
+            (0, 0),
+            "{}: naive loop must not touch the fast paths",
             kind.name()
         );
         assert!(
-            fast.predecode_hits > 0,
-            "{}: fast loop never hit the predecode cache",
-            kind.name()
-        );
-        assert_eq!(
-            fast.block_replayed,
-            0,
-            "{}: fast loop must not enter blocks",
+            default.predecode_hits > 0,
+            "{}: default loop never hit the predecode cache",
             kind.name()
         );
         assert!(
-            block.block_replayed > 0,
-            "{}: block tier never replayed a block",
+            default.continued > 0,
+            "{}: default loop never continued a run",
             kind.name()
         );
-        assert_indistinguishable(kind.name(), &naive, &fast);
-        assert_indistinguishable(kind.name(), &naive, &block);
+        assert_indistinguishable(kind.name(), &naive, &default);
     }
 }
 
 /// The contract holds while machine checks are being injected and
-/// recovered from: the same faults fire at the same cycles under every
-/// tier, and every downstream observable stays bit-identical. (While a
-/// fault hook is installed the block tier refuses to enter blocks and
-/// the fast paths tick per-cycle, so the measured region is exact by
+/// recovered from: the same faults fire at the same cycles under both
+/// loops, and every downstream observable stays bit-identical. (While a
+/// fault hook is installed the continuation loop stands down and the
+/// fast paths tick per-cycle, so the measured region is exact by
 /// construction — this pins that the fallback actually engages.)
 #[test]
 fn bit_identical_under_fault_injection() {
@@ -170,8 +162,7 @@ fn bit_identical_under_fault_injection() {
     for kind in [WorkloadKind::TimesharingLight, WorkloadKind::SciEng] {
         let params = small_profile(kind, 0xFA17);
         let naive = observed_run(&params, CpuConfig::naive_loop(), Some(&plan), 2_000, 5_000);
-        let fast = observed_run(&params, CpuConfig::fast_loop(), Some(&plan), 2_000, 5_000);
-        let block = observed_run(&params, CpuConfig::default(), Some(&plan), 2_000, 5_000);
+        let default = observed_run(&params, CpuConfig::default(), Some(&plan), 2_000, 5_000);
         assert!(
             !naive.fired.is_empty(),
             "{}: the plan must actually inject",
@@ -179,18 +170,16 @@ fn bit_identical_under_fault_injection() {
         );
         assert_eq!(
             naive.fired,
-            fast.fired,
-            "{}: fault logs differ (fast)",
+            default.fired,
+            "{}: fault logs differ",
             kind.name()
         );
-        assert_eq!(
-            naive.fired,
-            block.fired,
-            "{}: fault logs differ (block)",
+        assert!(
+            default.predecode_hits > 0,
+            "{}: default loop never hit the predecode cache",
             kind.name()
         );
-        assert_indistinguishable(kind.name(), &naive, &fast);
-        assert_indistinguishable(kind.name(), &naive, &block);
+        assert_indistinguishable(kind.name(), &naive, &default);
     }
 }
 
@@ -209,11 +198,11 @@ fn assert_same_measurements(label: &str, a: &[MeasuredWorkload], b: &[MeasuredWo
     }
 }
 
-/// A campaign checkpointed under one tier resumes under another with
+/// A campaign checkpointed under one loop resumes under the other with
 /// nothing to show for it: the combined results equal an uninterrupted
-/// single-tier campaign, in both block<->naive crossing directions
-/// (plus fast->block). This is what licenses flipping `CpuConfig`
-/// between a crash and its resume.
+/// single-loop campaign, in both default<->naive crossing directions.
+/// This is what licenses flipping `CpuConfig` between a crash and its
+/// resume.
 #[test]
 fn checkpoint_resume_crosses_loop_boundary() {
     let kinds = [
@@ -238,14 +227,13 @@ fn checkpoint_resume_crosses_loop_boundary() {
         (
             CpuConfig::naive_loop(),
             CpuConfig::default(),
-            "naive->block",
+            "naive->default",
         ),
         (
             CpuConfig::default(),
             CpuConfig::naive_loop(),
-            "block->naive",
+            "default->naive",
         ),
-        (CpuConfig::fast_loop(), CpuConfig::default(), "fast->block"),
     ] {
         let path = dir.join(format!("{}.ckpt", label.replace("->", "-")));
         {
