@@ -22,26 +22,33 @@ cargo run --release -- verify --all-profiles --deny all
 cargo run --release -- inject --faults parity,sbi-timeout --seed 780 \
     --workload educational --instructions 20000 --warmup 5000 --report
 
-# Checkpoint/resume gate: "kill" a composite campaign after 2 jobs, resume
-# it from the checkpoint, and require the exact numbers of an
-# uninterrupted campaign.
+cargo build --release
+VAX780=target/release/vax780
 CKPT_DIR=$(mktemp -d)
 trap 'rm -rf "$CKPT_DIR"' EXIT
-cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
+
+# Checkpoint/resume gate: `run --checkpoint` is "enqueue, then drain"
+# over a queue journal. Settle two of the composite's five jobs through
+# the queue first (a campaign killed after two jobs), finish the
+# campaign with `run --checkpoint` on the same journal, and require the
+# exact numbers of an uninterrupted campaign and all five jobs done.
+"$VAX780" run --workload all --instructions 5000 --warmup 1500 \
     > "$CKPT_DIR/uninterrupted.txt"
-cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
-    --checkpoint "$CKPT_DIR/campaign.ckpt" --halt-after 2 > /dev/null
-cargo run --release -- run --workload all --instructions 5000 --warmup 1500 \
-    --checkpoint "$CKPT_DIR/campaign.ckpt" > "$CKPT_DIR/resumed.txt"
+"$VAX780" enqueue --queue "$CKPT_DIR/campaign.journal" \
+    --spec "workload=timesharing-light instructions=5000 warmup=1500" \
+    --spec "workload=sci-eng instructions=5000 warmup=1500"
+"$VAX780" drain --queue "$CKPT_DIR/campaign.journal" --serial > /dev/null
+"$VAX780" run --workload all --instructions 5000 --warmup 1500 \
+    --checkpoint "$CKPT_DIR/campaign.journal" > "$CKPT_DIR/resumed.txt"
 diff "$CKPT_DIR/uninterrupted.txt" "$CKPT_DIR/resumed.txt"
+"$VAX780" status --queue "$CKPT_DIR/campaign.journal" \
+    | grep -q 'pending 0 done 5 failed 0'
 
 # Serve gate: the job queue must survive kill -9. Start a server, feed
 # it a mixed batch (one fault-plan job included) over its socket,
 # SIGKILL it mid-queue, then settle the same journal offline — the
 # merged result JSONL must be byte-identical to an uninterrupted
 # serial reference: zero lost, zero duplicated, bit-identical.
-cargo build --release
-VAX780=target/release/vax780
 SERVE_SPECS="workload=timesharing-light instructions=500000 warmup=5000 seed=1
 workload=sci-eng instructions=500000 warmup=5000 seed=2
 workload=commercial instructions=500000 warmup=5000 seed=3 faults=cache-parity+sbi-timeout fault-seed=780 fault-count=2

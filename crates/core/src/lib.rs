@@ -22,12 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 mod experiment;
 mod study;
 pub mod sweep;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use experiment::{measure, Experiment, MeasuredWorkload};
 pub use study::{
     default_workers, CampaignMetrics, CampaignOutcome, CompositeStudy, JobFailure, RetryPolicy,

@@ -13,7 +13,7 @@
 //! is seeded, and results land in per-point slots — repeated runs of the
 //! same grid produce identical rows (host wall-time fields aside).
 
-use crate::study::{default_workers, run_jobs, CampaignMetrics, HasSimWork, RetryPolicy};
+use crate::study::{default_workers, run_jobs, CampaignMetrics, HasSimWork};
 use crate::{CompositeStudy, MeasuredWorkload};
 use std::time::Instant;
 use vax_analysis::sweep::SweepRow;
@@ -225,7 +225,6 @@ pub struct Sweep {
     instructions_each: u64,
     warmup_each: u64,
     workers: Option<usize>,
-    retry: RetryPolicy,
 }
 
 impl Sweep {
@@ -237,7 +236,6 @@ impl Sweep {
             instructions_each,
             warmup_each: 30_000,
             workers: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -260,12 +258,6 @@ impl Sweep {
         self
     }
 
-    /// Override the supervisor's retry policy for quarantined points.
-    pub fn retry(mut self, policy: RetryPolicy) -> Sweep {
-        self.retry = policy;
-        self
-    }
-
     /// Run every point and reduce. Points fan across the worker pool;
     /// within a point the workloads run serially (the grid, not the
     /// composite, is the parallel axis — sweeps have far more points
@@ -280,7 +272,6 @@ impl Sweep {
         let (points, worker_metrics) = run_jobs(
             workers,
             n,
-            self.retry,
             |i| self.grid.points[i].label.clone(),
             |i| self.run_point(&self.grid.points[i]),
         );

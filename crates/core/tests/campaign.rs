@@ -5,7 +5,7 @@
 
 use upc_monitor::NullSink;
 use vax780_core::sweep::{Sweep, SweepAxis, SweepGrid};
-use vax780_core::{measure, Checkpoint, CompositeStudy};
+use vax780_core::{measure, CompositeStudy};
 use vax_cpu::{CpuConfig, Psl};
 use vax_mem::{HwCounters, MemConfig};
 use vax_workloads::{build_machine_with_config, profile, WorkloadKind};
@@ -89,61 +89,6 @@ fn measured_counters_exclude_idle_loop_traffic() {
         HwCounters::new(),
         "hardware counters must not accumulate Null-process traffic"
     );
-}
-
-/// A campaign "killed" after one job (the deterministic `halt_after`
-/// stand-in for a mid-flight kill) and then resumed from its checkpoint
-/// must produce exactly what an uninterrupted campaign produces —
-/// per-workload histograms, counters, and the merged analysis.
-#[test]
-fn checkpointed_resume_is_bit_identical_to_uninterrupted() {
-    let study = CompositeStudy::new(4_000)
-        .warmup(1_500)
-        .with_kinds(&[
-            WorkloadKind::TimesharingLight,
-            WorkloadKind::Educational,
-            WorkloadKind::Commercial,
-        ])
-        .max_workers(2);
-    let (uninterrupted, baseline) = study.run();
-
-    let dir = std::env::temp_dir().join("vax-campaign-resume-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("campaign.ckpt");
-
-    let mut cp = Checkpoint::open(&path, 4_000, 1_500).unwrap();
-    let halted = study.run_checkpointed(&mut cp, Some(1)).unwrap();
-    assert!(!halted.is_complete());
-    assert_eq!(halted.results.len(), 1);
-    assert_eq!(halted.pending.len(), 2);
-    assert!(halted.failures.is_empty());
-
-    // Re-open the file — exactly what a fresh process does — and resume.
-    let mut cp = Checkpoint::open(&path, 4_000, 1_500).unwrap();
-    assert_eq!(cp.completed().len(), 1);
-    let resumed = study.run_checkpointed(&mut cp, None).unwrap();
-    assert!(resumed.is_complete());
-    assert_eq!(resumed.resumed, 1);
-    assert_eq!(resumed.results.len(), uninterrupted.len());
-    for (u, r) in uninterrupted.iter().zip(&resumed.results) {
-        assert_eq!(u.name, r.name);
-        assert_eq!(u.histogram, r.histogram, "{}: histogram differs", u.name);
-        assert_eq!(u.counters, r.counters, "{}: counters differ", u.name);
-        assert_eq!(u.instructions, r.instructions);
-        assert_eq!(u.cycles, r.cycles);
-    }
-    assert_eq!(baseline.instructions(), resumed.analysis.instructions());
-    assert_eq!(baseline.total_cycles(), resumed.analysis.total_cycles());
-    assert_eq!(baseline.cpi(), resumed.analysis.cpi());
-
-    // A third open finds everything done: nothing re-runs.
-    let mut cp = Checkpoint::open(&path, 4_000, 1_500).unwrap();
-    assert_eq!(cp.completed().len(), 3);
-    let replay = study.run_checkpointed(&mut cp, None).unwrap();
-    assert_eq!(replay.resumed, 3);
-    assert_eq!(replay.metrics.instructions(), 0, "no fresh simulation");
-    assert_eq!(baseline.cpi(), replay.analysis.cpi());
 }
 
 #[test]

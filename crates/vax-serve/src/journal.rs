@@ -1,10 +1,10 @@
 //! The persistent job-queue journal, `vax-queue-journal v2`.
 //!
-//! Version 2 splits the queue across **two segments** so the journal
-//! stays sublinear in its own history:
+//! The journal splits the queue across **two segments** so it stays
+//! sublinear in its own history:
 //!
 //! - the **tail** (`<path>`) is the append-only live segment, one
-//!   flushed record per lifecycle transition, exactly as in v1:
+//!   flushed record per lifecycle transition:
 //!
 //!   ```text
 //!   vax-queue-journal v2 generation <G> next <N>
@@ -33,6 +33,14 @@
 //!   ...
 //!   ```
 //!
+//! **Durability.** Each append is written and `flush()`ed before the
+//! caller's in-memory state advances, so every transition the server
+//! acted on survives the death of the process (`kill -9`, a panic, an
+//! OOM kill). Appends are not `fsync`ed: an OS crash or power loss can
+//! lose the most recent transitions, and replay then re-runs those
+//! jobs. Compaction is the one synced path: both replacement files are
+//! synced before either is renamed into place.
+//!
 //! [`Journal::compact`] migrates every settled job from the tail into
 //! a fresh snapshot and rewrites the tail with only the unsettled
 //! records. Compaction is crash-safe by write-new-then-rename: both
@@ -46,20 +54,17 @@
 //! expected overlap rather than corruption.
 //!
 //! Replay is **O(unsettled)** in memory: the tail is consumed through
-//! a buffered line reader one record at a time (with the v1 torn-tail
-//! policy — a partial trailing append is dropped and truncated, damage
-//! anywhere else is a hard [`JournalError::Corrupt`]), settled jobs
-//! collapse to fixed-size offset-table entries, and only unsettled
-//! jobs keep their parsed spec in memory. Result lines for `results`/
-//! `drain` are re-derived by seeking to the recorded offsets, so a
-//! fully settled million-job queue streams without ever materializing
-//! the settled set.
+//! a buffered line reader one record at a time (a partial trailing
+//! append is dropped and truncated, damage anywhere else is a hard
+//! [`JournalError::Corrupt`]), settled jobs collapse to fixed-size
+//! offset-table entries, and only unsettled jobs keep their parsed
+//! spec in memory. Result lines for `results`/`drain` are re-derived by
+//! seeking to the recorded offsets, so a fully settled million-job
+//! queue streams without ever materializing the settled set.
 //!
-//! A `vax-queue-journal v1` file (no snapshot, no generation) is
-//! recognized and **upgraded on open**: it replays under v1 rules and
-//! is immediately compacted into the v2 pair. Result lines are
-//! byte-identical across the upgrade because the record bodies are
-//! preserved verbatim and the digest is computed over the same bytes.
+//! Any other header — a `vax-queue-journal v1` file, or a retired
+//! `vax-campaign-checkpoint v1` — is refused as corrupt, with the header
+//! it found echoed in the error.
 
 use crate::spec::JobSpec;
 use std::collections::BTreeMap;
@@ -70,7 +75,6 @@ use std::path::{Path, PathBuf};
 use upc_monitor::codec;
 use vax780_core::MeasuredWorkload;
 
-const HEADER_V1: &str = "vax-queue-journal v1";
 const HEADER_V2: &str = "vax-queue-journal v2";
 const SNAP_HEADER: &str = "vax-queue-snapshot v2";
 
@@ -373,10 +377,9 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Open `path`, creating the v2 pair if missing, replaying it if
-    /// present, or upgrading a v1 journal in place. A torn trailing
-    /// tail append is dropped with a warning and the tail truncated
-    /// back to the last good byte.
+    /// Open `path`, creating the v2 pair if missing or replaying it if
+    /// present. A torn trailing tail append is dropped with a warning
+    /// and the tail truncated back to the last good byte.
     ///
     /// One writer at a time: the journal has no cross-process lock, so
     /// a server and an offline `enqueue` must not extend the same file
@@ -384,7 +387,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`JournalError`] on I/O failure or mid-file corruption.
+    /// [`JournalError`] on I/O failure, an unknown header, or mid-file
+    /// corruption.
     pub fn open(path: &Path) -> Result<Journal, JournalError> {
         let mut journal = Journal {
             path: path.to_path_buf(),
@@ -410,13 +414,12 @@ impl Journal {
                 })
             }
         };
-        let upgrade = match File::open(path) {
+        match File::open(path) {
             Ok(file) => journal.replay_tail(file, snap_generation)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 journal.generation = snap_generation.unwrap_or(0);
-                journal.next_id = journal.max_settled_id() + 1;
+                journal.next_id = journal.id_after(journal.max_settled_id())?;
                 journal.write_fresh_tail()?;
-                false
             }
             Err(source) => {
                 return Err(JournalError::Io {
@@ -424,12 +427,6 @@ impl Journal {
                     source,
                 })
             }
-        };
-        if upgrade {
-            journal.compact()?;
-            journal
-                .warnings
-                .push("upgraded v1 journal to the v2 segment scheme".to_string());
         }
         Ok(journal)
     }
@@ -457,6 +454,13 @@ impl Journal {
 
     fn max_settled_id(&self) -> JobId {
         self.settled.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// The id after `id`; the largest id has none, so a journal naming
+    /// it is corrupt (replay could never assign a fresh id after it).
+    fn id_after(&self, id: JobId) -> Result<JobId, JournalError> {
+        id.checked_add(1)
+            .ok_or_else(|| self.corrupt(format!("job id {id} leaves no id to assign next")))
     }
 
     /// Load the snapshot segment: header plus offset index only — the
@@ -502,7 +506,9 @@ impl Journal {
                 return Err(self.snap_corrupt(format!("missing `index` section (got {other:?})")))
             }
         }
-        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::with_capacity(jobs);
+        // The header's count is checked after the index is read, never
+        // trusted as an allocation size.
+        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::new();
         loop {
             match next()? {
                 Some((_, line, true)) if line.trim() == "end" => break,
@@ -547,12 +553,15 @@ impl Journal {
         }
         let base = reader.pos;
         for (id, rel, len, kind) in entries {
-            let at = base + rel;
-            if at + len > file_len {
+            let at = base.checked_add(rel).filter(|at| {
+                at.checked_add(len)
+                    .is_some_and(|record_end| record_end <= file_len)
+            });
+            let Some(at) = at else {
                 return Err(self.snap_corrupt(format!(
                     "index entry for job {id} points past the end of the file"
                 )));
-            }
+            };
             match kind {
                 JobState::Done => self.done += 1,
                 JobState::Failed => self.failed += 1,
@@ -577,19 +586,17 @@ impl Journal {
     /// memory — applying the v1 torn-vs-corrupt policy and, when the
     /// tail's generation lags the snapshot's (the mid-compaction crash
     /// window), skipping records for jobs the snapshot already
-    /// settled. Returns whether the file was a v1 journal needing
-    /// upgrade.
+    /// settled.
     fn replay_tail(
         &mut self,
         file: File,
         snap_generation: Option<u64>,
-    ) -> Result<bool, JournalError> {
+    ) -> Result<(), JournalError> {
         let mut reader = LineReader::new(BufReader::new(file));
         let io = |this: &Journal, e| this.io_err(e);
 
-        // Header: v1 (upgrade), or v2 with generation + next-id.
-        let (version, mut header_next) = match reader.next_line().map_err(|e| io(self, e))? {
-            Some((_, line, true)) if line.trim() == HEADER_V1 => (1u32, 1),
+        // Header: v2 with generation + next-id.
+        let mut header_next = match reader.next_line().map_err(|e| io(self, e))? {
             Some((_, line, true)) => {
                 let words: Vec<&str> = line.split_ascii_whitespace().collect();
                 match words.as_slice() {
@@ -599,7 +606,7 @@ impl Journal {
                             return Err(self.corrupt(format!("bad header `{line}`")));
                         };
                         self.generation = generation;
-                        (2, next)
+                        next
                     }
                     _ => {
                         return Err(
@@ -642,7 +649,7 @@ impl Journal {
             }
         };
 
-        // Torn-vs-corrupt, as in v1: appends are sequential, so a torn
+        // Torn-vs-corrupt: appends are sequential, so a torn
         // write leaves a prefix of ONE record. If any fully terminated
         // record-start line exists after the failure point, the damage
         // is not a truncation and we refuse to guess.
@@ -701,11 +708,12 @@ impl Journal {
                         Ok(s) => s,
                         Err(e) => fail!(false, format!("enqueue {id}: {e}")),
                     };
+                    let after = self.id_after(id)?;
                     if stale_tail && self.settled.contains_key(&id) {
                         // Pre-compaction tail: the snapshot already
                         // holds this job in settled form.
                         good = reader.pos;
-                        self.next_id = self.next_id.max(id + 1);
+                        self.next_id = self.next_id.max(after);
                         continue;
                     }
                     if self.pending.contains_key(&id) || self.settled.contains_key(&id) {
@@ -722,7 +730,7 @@ impl Journal {
                             enqueue_len: (reader.pos - record_start) as u32,
                         },
                     );
-                    self.next_id = self.next_id.max(id + 1);
+                    self.next_id = self.next_id.max(after);
                 }
                 ("start", Some(id)) => {
                     let attempt: Option<u32> =
@@ -815,7 +823,10 @@ impl Journal {
             }
             good = reader.pos;
         }
-        self.next_id = self.next_id.max(header_next).max(self.max_settled_id() + 1);
+        self.next_id = self
+            .next_id
+            .max(header_next)
+            .max(self.id_after(self.max_settled_id())?);
         let end = reader.pos;
         self.tail_len = good;
         if let Some((at, detail)) = torn {
@@ -830,7 +841,7 @@ impl Journal {
                 .map_err(|e| self.io_err(e))?;
             file.set_len(good).map_err(|e| self.io_err(e))?;
         }
-        Ok(version == 1)
+        Ok(())
     }
 
     /// Move a pending job to the settled offset table during replay.
@@ -891,8 +902,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Warnings produced while opening (torn trailing record dropped,
-    /// v1 upgrade performed).
+    /// Warnings produced while opening (a torn trailing record dropped).
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
@@ -1009,7 +1019,8 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Io`] if the append fails, [`JournalError::Corrupt`]
-    /// if the client name cannot ride the one-line codec.
+    /// if the client name cannot ride the one-line codec or the job ids
+    /// are exhausted.
     pub fn append_enqueue_for(
         &mut self,
         client: &str,
@@ -1019,6 +1030,7 @@ impl Journal {
             return Err(self.corrupt(format!("bad client name `{client}`")));
         }
         let id = self.next_id;
+        let next_id = self.id_after(id)?;
         let record = if client.is_empty() {
             format!("enqueue {id} {}\n", spec.render())
         } else {
@@ -1026,7 +1038,7 @@ impl Journal {
         };
         let enqueue_at = self.tail_len;
         self.append(&record)?;
-        self.next_id = id + 1;
+        self.next_id = next_id;
         *self.clients.entry(client.to_string()).or_insert(0) += 1;
         self.pending.insert(
             id,
@@ -1135,7 +1147,9 @@ impl Journal {
     ///
     /// [`JournalError`] on I/O failure or an unreadable settled record.
     pub fn compact(&mut self) -> Result<(), JournalError> {
-        let new_generation = self.generation + 1;
+        let new_generation = self.generation.checked_add(1).ok_or_else(|| {
+            self.corrupt(format!("generation {} cannot advance", self.generation))
+        })?;
         let snap_tmp = {
             let mut os = self.snap_path.as_os_str().to_os_string();
             os.push(".tmp");
@@ -1320,12 +1334,9 @@ impl Journal {
         Ok(Some(self.read_settled(id, *r)?.0))
     }
 
-    /// Read a settled record back from disk: `(spec line, outcome)`.
-    fn read_settled(
-        &self,
-        id: JobId,
-        r: SettledRef,
-    ) -> Result<(String, StreamedOutcome), JournalError> {
+    /// Read a settled record back from disk: `(spec line, raw settle
+    /// record)`.
+    fn read_settled(&self, id: JobId, r: SettledRef) -> Result<(String, String), JournalError> {
         let mut files = SegmentFiles::default();
         self.read_settled_with(&mut files, id, r)
     }
@@ -1335,7 +1346,7 @@ impl Journal {
         files: &mut SegmentFiles,
         id: JobId,
         r: SettledRef,
-    ) -> Result<(String, StreamedOutcome), JournalError> {
+    ) -> Result<(String, String), JournalError> {
         match r.seg {
             Segment::Snapshot => {
                 let file = files.snapshot(&self.snap_path)?;
@@ -1343,19 +1354,21 @@ impl Journal {
                     path: self.snap_path.clone(),
                     source: e,
                 })?;
-                let text = String::from_utf8(bytes)
+                let mut text = String::from_utf8(bytes)
                     .map_err(|_| self.snap_corrupt(format!("record for job {id} is not UTF-8")))?;
-                let (head, settle) = text
-                    .split_once('\n')
+                let newline = text
+                    .find('\n')
                     .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
+                let head = &text[..newline];
                 let spec = head
                     .strip_prefix(&format!("job {id} "))
                     .ok_or_else(|| {
                         self.snap_corrupt(format!("bad record head for job {id}: `{head}`"))
                     })?
                     .to_string();
-                let outcome = self.parse_settle(id, settle)?;
-                Ok((spec, outcome))
+                // What remains is the settle record, in place.
+                text.replace_range(..=newline, "");
+                Ok((spec, text))
             }
             Segment::Tail => {
                 let file = files.tail(&self.path)?;
@@ -1366,10 +1379,37 @@ impl Journal {
                 let text = String::from_utf8(bytes).map_err(|_| {
                     self.corrupt(format!("settle record for job {id} is not UTF-8"))
                 })?;
-                let outcome = self.parse_settle(id, &text)?;
-                Ok((spec, outcome))
+                Ok((spec, text))
             }
         }
+    }
+
+    /// Split a raw `complete` section into `(instructions, cycles, codec
+    /// body)`; `None` if `text` is not a `complete` record.
+    fn complete_parts<'t>(
+        &self,
+        id: JobId,
+        text: &'t str,
+    ) -> Result<Option<(u64, u64, &'t str)>, JournalError> {
+        let (head, rest) = text.split_once('\n').unwrap_or((text, ""));
+        let Some(complete) = head.strip_prefix(&format!("complete {id} ")) else {
+            return Ok(None);
+        };
+        let lens: Option<(u64, u64)> = match complete
+            .split_ascii_whitespace()
+            .collect::<Vec<_>>()
+            .as_slice()
+        {
+            ["instructions", i, "cycles", c] => i.parse().ok().zip(c.parse().ok()),
+            _ => None,
+        };
+        let Some((instructions, cycles)) = lens else {
+            return Err(self.corrupt(format!("bad complete record for job {id}: `{head}`")));
+        };
+        let body = rest
+            .strip_suffix("end\n")
+            .ok_or_else(|| self.corrupt(format!("complete {id} has no `end` line")))?;
+        Ok(Some((instructions, cycles, body)))
     }
 
     /// Parse a raw settle record (`complete` section or `fail` line)
@@ -1377,34 +1417,21 @@ impl Journal {
     /// body bytes — exactly the bytes `append_complete` wrote, so it
     /// is bit-identical to the digest of the original measurement.
     fn parse_settle(&self, id: JobId, text: &str) -> Result<StreamedOutcome, JournalError> {
-        let (head, rest) = text.split_once('\n').map_or((text, ""), |(h, r)| (h, r));
-        if let Some(complete) = head.strip_prefix(&format!("complete {id} ")) {
-            let lens: Option<(u64, u64)> = match complete
-                .split_ascii_whitespace()
-                .collect::<Vec<_>>()
-                .as_slice()
-            {
-                ["instructions", i, "cycles", c] => i.parse().ok().zip(c.parse().ok()),
-                _ => None,
-            };
-            let Some((instructions, cycles)) = lens else {
-                return Err(self.corrupt(format!("bad complete record for job {id}: `{head}`")));
-            };
-            let body = rest
-                .strip_suffix("end\n")
-                .ok_or_else(|| self.corrupt(format!("complete {id} has no `end` line")))?;
+        if let Some((instructions, cycles, body)) = self.complete_parts(id, text)? {
             let machine_checks = body
                 .lines()
                 .find_map(|l| l.trim().strip_prefix("counter machine_checks "))
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0);
-            Ok(StreamedOutcome::Done {
+            return Ok(StreamedOutcome::Done {
                 instructions,
                 cycles,
                 machine_checks,
                 digest: fnv64(body),
-            })
-        } else if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
+            });
+        }
+        let head = text.split_once('\n').map_or(text, |(h, _)| h);
+        if let Some(fail) = head.strip_prefix(&format!("fail {id} attempts ")) {
             let parsed = fail
                 .split_once(" message ")
                 .and_then(|(k, msg)| k.parse::<u32>().ok().map(|k| (k, unescape_message(msg))));
@@ -1415,6 +1442,36 @@ impl Journal {
         } else {
             Err(self.corrupt(format!("unrecognized settle record for job {id}: `{head}`")))
         }
+    }
+
+    /// A completed job's measurement — histogram, hardware counters and
+    /// lengths — parsed back from its `complete` record; `None` if the
+    /// job is unknown, unsettled, or failed. A campaign run through the
+    /// queue (`vax780 run --checkpoint`) reads its results back here
+    /// for the composite merge.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] if the record cannot be read back or parsed.
+    pub fn measurement(&self, id: JobId) -> Result<Option<MeasuredWorkload>, JournalError> {
+        let Some(r) = self.settled.get(&id).filter(|r| r.kind == JobState::Done) else {
+            return Ok(None);
+        };
+        let (spec_line, settle) = self.read_settled(id, *r)?;
+        let spec = JobSpec::parse(&spec_line)
+            .map_err(|e| self.corrupt(format!("spec for job {id}: {e}")))?;
+        let Some((instructions, cycles, body)) = self.complete_parts(id, &settle)? else {
+            return Err(self.corrupt(format!("job {id} is done but has no complete record")));
+        };
+        let (histogram, pairs) = codec::from_text_with_counters(body)
+            .map_err(|e| self.corrupt(format!("complete {id}: {e}")))?;
+        Ok(Some(MeasuredWorkload {
+            name: spec.workload.name(),
+            histogram,
+            counters: vax_mem::HwCounters::from_pairs(pairs.iter().map(|(n, v)| (n.as_str(), *v))),
+            instructions,
+            cycles,
+        }))
     }
 
     /// One settled job's deterministic JSON result line, re-derived
@@ -1432,7 +1489,8 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        let (spec_line, outcome) = self.read_settled(id, *r)?;
+        let (spec_line, settle) = self.read_settled(id, *r)?;
+        let outcome = self.parse_settle(id, &settle)?;
         Ok(Some(self.render_result(id, &spec_line, outcome)?))
     }
 
@@ -1478,7 +1536,8 @@ impl Journal {
         let mut files = SegmentFiles::default();
         let mut lines = 0usize;
         for (&id, r) in &self.settled {
-            let (spec_line, outcome) = self.read_settled_with(&mut files, id, *r)?;
+            let (spec_line, settle) = self.read_settled_with(&mut files, id, *r)?;
+            let outcome = self.parse_settle(id, &settle)?;
             let line = self.render_result(id, &spec_line, outcome)?;
             writeln!(out, "{line}").map_err(|e| self.io_err(e))?;
             lines += 1;
@@ -1640,8 +1699,6 @@ mod tests {
              enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
             "vax-queue-journal v2 generation 0 next 1\ngarbage\n\
              enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
-            // v1 journals replay under the same rules before upgrade.
-            "vax-queue-journal v1\nstart 7 attempt 1\n",
             // A generation with no snapshot segment to back it.
             "vax-queue-journal v2 generation 3 next 1\n",
         ] {
@@ -1763,45 +1820,152 @@ mod tests {
         assert_eq!(back.append_enqueue(&spec).unwrap(), 4);
     }
 
+    /// Retired formats are refused, never upgraded or guessed at: the
+    /// error names the header the file actually carries, so an old
+    /// `vax-queue-journal v1` or a `vax-campaign-checkpoint v1` left by
+    /// an earlier `run --checkpoint` says what it is.
     #[test]
-    fn v1_journal_upgrades_on_open_with_identical_results() {
-        let dir = tempdir("vax-journal-upgrade");
+    fn retired_headers_are_refused_naming_the_header() {
+        let dir = tempdir("vax-journal-retired");
         let path = dir.join("queue.journal");
-        // Build a v2 journal to borrow its record bytes, then rewrite
-        // the header to v1 (the record grammar is unchanged).
-        let mut j = Journal::open(&path).unwrap();
-        let spec = JobSpec::new(WorkloadKind::TimesharingHeavy);
-        j.append_enqueue(&spec).unwrap();
-        j.append_start(1, 1).unwrap();
-        j.append_complete(1, &sample(WorkloadKind::TimesharingHeavy))
-            .unwrap();
-        j.append_enqueue(&spec).unwrap();
-        let v2_results = all_results(&j);
-        drop(j);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (header, records) = text.split_once('\n').unwrap();
-        assert!(header.starts_with(HEADER_V2), "{header}");
-        std::fs::write(&path, format!("{HEADER_V1}\n{records}")).unwrap();
-        let _ = std::fs::remove_file(snap_path_for(&path));
+        for (text, header) in [
+            (
+                "vax-queue-journal v1\n\
+                 enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
+                "vax-queue-journal v1",
+            ),
+            (
+                "vax-campaign-checkpoint v1\nconfig instructions 2000 warmup 800\n",
+                "vax-campaign-checkpoint v1",
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = Journal::open(&path).unwrap_err();
+            assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+            let message = err.to_string();
+            assert!(message.contains(HEADER_V2), "{message}");
+            assert!(message.contains(&format!("got `{header}`")), "{message}");
+            // Refusing leaves the file as it was.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        }
+    }
 
-        let j = Journal::open(&path).unwrap();
-        assert!(
-            j.warnings().iter().any(|w| w.contains("upgraded")),
-            "{:?}",
-            j.warnings()
-        );
-        // Upgrade compacts: the on-disk pair is now v2.
-        assert_eq!(j.generation(), 1);
-        assert!(snap_path_for(&path).exists());
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with(HEADER_V2));
-        assert_eq!(all_results(&j), v2_results);
-        assert_eq!(j.counts(), (1, 1, 0));
-        // And the upgraded pair reopens cleanly.
-        let back = Journal::open(&path).unwrap();
-        assert!(back.warnings().is_empty());
-        assert_eq!(all_results(&back), v2_results);
+    /// Counts, offsets and ids near `u64::MAX` must be refused as
+    /// corruption: trusted, they overflow the offset arithmetic or the
+    /// next-id watermark, or ask the allocator for the whole address
+    /// space.
+    #[test]
+    fn hostile_counts_offsets_and_ids_are_corrupt_not_a_panic() {
+        let dir = tempdir("vax-journal-hostile");
+        let path = dir.join("queue.journal");
+        let tail_g1 = "vax-queue-journal v2 generation 1 next 2\n";
+        let record =
+            "job 1 workload=sci-eng instructions=10 warmup=1\nfail 1 attempts 1 message x\n";
+        for (snapshot, tail) in [
+            (
+                Some(format!(
+                    "vax-queue-snapshot v2 generation 1 jobs 1\nindex\n\
+                     entry 1 18446744073709551615 5 done\nend\n{record}"
+                )),
+                tail_g1,
+            ),
+            (
+                Some(format!(
+                    "vax-queue-snapshot v2 generation 1 jobs 1\nindex\n\
+                     entry 1 0 18446744073709551615 done\nend\n{record}"
+                )),
+                tail_g1,
+            ),
+            (
+                Some(format!(
+                    "vax-queue-snapshot v2 generation 1 jobs 18446744073709551615\nindex\n\
+                     entry 1 0 {} failed\nend\n{record}",
+                    record.len()
+                )),
+                tail_g1,
+            ),
+            (
+                None,
+                "vax-queue-journal v2 generation 0 next 1\n\
+                 enqueue 18446744073709551615 workload=sci-eng instructions=10 warmup=1\n",
+            ),
+        ] {
+            match &snapshot {
+                Some(text) => std::fs::write(snap_path_for(&path), text).unwrap(),
+                None => {
+                    let _ = std::fs::remove_file(snap_path_for(&path));
+                }
+            }
+            std::fs::write(&path, tail).unwrap();
+            let opened = std::panic::catch_unwind(|| Journal::open(&path));
+            let Ok(result) = opened else {
+                panic!("open panicked on {snapshot:?} + {tail:?}");
+            };
+            let err = result.err().unwrap_or_else(|| {
+                panic!("open accepted {snapshot:?} + {tail:?}");
+            });
+            assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+        }
+    }
+
+    /// Deterministic hostile-bytes sweep: substitute every byte of a
+    /// two-segment journal (snapshot + tail, settled and pending jobs,
+    /// a client name, a complete and a fail record in each) with a few
+    /// values. `open` and `stream_results` may refuse the result but
+    /// must never panic.
+    #[test]
+    fn byte_substitution_never_panics_open_or_stream() {
+        let dir = tempdir("vax-journal-byte-sweep");
+        let path = dir.join("queue.journal");
+        let snap_path = snap_path_for(&path);
+        let mut j = Journal::open(&path).unwrap();
+        let mut spec = JobSpec::new(WorkloadKind::SciEng);
+        for seed in 1..=4 {
+            spec.seed = Some(seed);
+            j.append_enqueue_for(if seed == 2 { "alice" } else { "" }, &spec)
+                .unwrap();
+        }
+        j.append_start(1, 1).unwrap();
+        j.append_complete(1, &sample(WorkloadKind::SciEng)).unwrap();
+        j.append_start(2, 1).unwrap();
+        j.append_fail(2, 1, "boom\nline two").unwrap();
+        j.compact().unwrap();
+        j.append_start(3, 1).unwrap();
+        j.append_complete(3, &sample(WorkloadKind::SciEng)).unwrap();
+        j.append_start(4, 1).unwrap();
+        j.append_fail(4, 2, "late").unwrap();
+        drop(j);
+        let snap = std::fs::read(&snap_path).unwrap();
+        let tail = std::fs::read(&path).unwrap();
+
+        let mut panicked = Vec::new();
+        for (segment, original) in [("snapshot", &snap), ("tail", &tail)] {
+            for at in 0..original.len() {
+                for value in [b'0', b'9', b' ', b'\n', 0xff] {
+                    if original[at] == value {
+                        continue;
+                    }
+                    let mut mutated = original.clone();
+                    mutated[at] = value;
+                    let (snap_bytes, tail_bytes) = if segment == "snapshot" {
+                        (&mutated, &tail)
+                    } else {
+                        (&snap, &mutated)
+                    };
+                    std::fs::write(&snap_path, snap_bytes).unwrap();
+                    std::fs::write(&path, tail_bytes).unwrap();
+                    let outcome = std::panic::catch_unwind(|| {
+                        if let Ok(j) = Journal::open(&path) {
+                            let _ = j.stream_results(&mut std::io::sink());
+                        }
+                    });
+                    if outcome.is_err() {
+                        panicked.push(format!("{segment} byte {at} -> {value:#04x}"));
+                    }
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "panicked on: {panicked:?}");
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! Job execution: how one [`JobSpec`] becomes one measurement.
 //!
-//! The server shards work two ways. [`InProcessExecutor`] runs the
-//! experiment on the calling worker thread (cheap, shares the
-//! process); [`ProcessExecutor`] spawns a `vax780 job-worker` child
-//! per attempt, piping the spec in on stdin and reading a
-//! `vax-job-result v1` blob back from stdout — crash isolation and
-//! multi-process sharding for the price of a fork. Both honour a
-//! per-job timeout; both return the same bit-deterministic
-//! [`MeasuredWorkload`], because both run the same `Experiment::run`.
+//! The server runs work two ways. [`InProcessExecutor`] runs the
+//! experiment on a local worker thread; a remote `vax780 worker`
+//! process claims the job over the wire and sends back a
+//! `vax-job-result v1` blob ([`render_result_blob`]), which gives
+//! process isolation and multi-host sharding. Both run the same
+//! `Experiment::run`, so both return the same bit-deterministic
+//! [`MeasuredWorkload`].
 
 use crate::spec::JobSpec;
-use std::io::{Read, Write};
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use upc_monitor::codec;
 use vax780_core::MeasuredWorkload;
 
@@ -22,9 +18,9 @@ const BLOB_HEADER: &str = "vax-job-result v1";
 /// Why one execution attempt failed.
 #[derive(Debug, Clone)]
 pub enum ExecError {
-    /// The simulation panicked (or the worker process died).
+    /// The simulation panicked.
     Failed(String),
-    /// The attempt exceeded its deadline and was abandoned/killed.
+    /// The attempt exceeded its deadline and was abandoned.
     Timeout(Duration),
 }
 
@@ -45,13 +41,13 @@ pub trait Executor: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`ExecError`] on panic, worker death, or deadline overrun.
+    /// [`ExecError`] on panic or deadline overrun.
     fn run(&self, spec: &JobSpec, timeout: Option<Duration>)
         -> Result<MeasuredWorkload, ExecError>;
 }
 
-/// Render a measurement as the `vax-job-result v1` blob a job-worker
-/// process writes to stdout.
+/// Render a measurement as the `vax-job-result v1` blob a remote worker
+/// sends back on its claim connection.
 pub fn render_result_blob(m: &MeasuredWorkload) -> String {
     let mut out = format!(
         "{BLOB_HEADER}\nresult instructions {} cycles {}\n",
@@ -134,7 +130,7 @@ impl Executor for InProcessExecutor {
         // Run on a helper thread so the attempt can be abandoned at the
         // deadline. The thread is detached on timeout: the simulation
         // cannot be interrupted, but its result is discarded and the
-        // worker slot freed. (Process sharding gives a true kill.)
+        // worker slot freed.
         let (tx, rx) = std::sync::mpsc::channel();
         let spec = spec.clone();
         std::thread::spawn(move || {
@@ -155,102 +151,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "job panicked".to_string()
     }
-}
-
-/// Run each attempt in a fresh worker OS process (`<exe> job-worker`).
-#[derive(Debug, Clone)]
-pub struct ProcessExecutor {
-    /// The server binary; the child is `exe job-worker`.
-    pub exe: PathBuf,
-}
-
-impl Executor for ProcessExecutor {
-    fn run(
-        &self,
-        spec: &JobSpec,
-        timeout: Option<Duration>,
-    ) -> Result<MeasuredWorkload, ExecError> {
-        let mut child = Command::new(&self.exe)
-            .arg("job-worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| ExecError::Failed(format!("spawn {}: {e}", self.exe.display())))?;
-        // Write the spec and close stdin so the child sees EOF.
-        if let Some(mut stdin) = child.stdin.take() {
-            let _ = writeln!(stdin, "{}", spec.render());
-        }
-        // Drain stdout/stderr on threads: a full pipe would deadlock a
-        // child that blocks writing while we block waiting.
-        let drain = |mut pipe: Option<Box<dyn Read + Send>>| {
-            std::thread::spawn(move || {
-                let mut buf = String::new();
-                if let Some(pipe) = pipe.as_mut() {
-                    let _ = pipe.read_to_string(&mut buf);
-                }
-                buf
-            })
-        };
-        let stdout = drain(child.stdout.take().map(|p| Box::new(p) as _));
-        let stderr = drain(child.stderr.take().map(|p| Box::new(p) as _));
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {
-                    if let Some(deadline) = deadline {
-                        if Instant::now() >= deadline {
-                            // The child may exit cleanly between the
-                            // deadline check and the kill landing. The
-                            // reaped status is the truth: a success
-                            // here means a complete result blob is
-                            // already in the stdout pipe, so honour it
-                            // instead of discarding a finished job as
-                            // a timeout.
-                            match kill_and_reap(&mut child) {
-                                Some(status) if status.success() => break status,
-                                _ => return Err(ExecError::Timeout(timeout.unwrap_or_default())),
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(ExecError::Failed(format!("wait: {e}")));
-                }
-            }
-        };
-        let out = stdout.join().unwrap_or_default();
-        let err = stderr.join().unwrap_or_default();
-        if !status.success() {
-            let detail = err.trim();
-            return Err(ExecError::Failed(if detail.is_empty() {
-                format!("worker exited with {status}")
-            } else {
-                format!("worker exited with {status}: {detail}")
-            }));
-        }
-        parse_result_blob(&out, self.spec_name(spec))
-            .map_err(|e| ExecError::Failed(format!("worker result: {e}")))
-    }
-}
-
-impl ProcessExecutor {
-    fn spec_name(&self, spec: &JobSpec) -> &'static str {
-        spec.workload.name()
-    }
-}
-
-/// Kill a child and reap its true exit status. Returns `None` only if
-/// the wait itself fails. A child that exited on its own before the
-/// kill landed reports its real (possibly successful) status — the
-/// caller decides whether that beats the timeout.
-fn kill_and_reap(child: &mut std::process::Child) -> Option<std::process::ExitStatus> {
-    let _ = child.kill();
-    child.wait().ok()
 }
 
 #[cfg(test)]
@@ -282,31 +182,6 @@ mod tests {
         ] {
             assert!(parse_result_blob(bad, "x").is_err(), "{bad:?}");
         }
-    }
-
-    /// Bug-sweep pin: `ProcessExecutor`'s deadline check races the
-    /// child's own exit. `kill_and_reap` must report the child's true
-    /// status — for an already-exited child the kill is a no-op and
-    /// the successful status (with the result blob already in the
-    /// pipe) wins over the timeout verdict.
-    #[test]
-    fn kill_and_reap_reports_a_clean_exit_that_beat_the_kill() {
-        let mut child = std::process::Command::new("true")
-            .spawn()
-            .expect("spawn true");
-        // Let the child finish (unreaped) before the kill is sent: the
-        // SIGKILL lands on a zombie and changes nothing.
-        std::thread::sleep(Duration::from_millis(50));
-        let status = kill_and_reap(&mut child).expect("reap");
-        assert!(status.success(), "{status}");
-        // And a child that was genuinely still running reports the
-        // kill, not success.
-        let mut child = std::process::Command::new("sleep")
-            .arg("30")
-            .spawn()
-            .expect("spawn sleep");
-        let status = kill_and_reap(&mut child).expect("reap");
-        assert!(!status.success(), "{status}");
     }
 
     #[test]

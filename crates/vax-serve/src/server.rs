@@ -370,8 +370,8 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
                                 return;
                             }
                         }
-                        // Deterministic linear backoff, as in the
-                        // checkpointed campaign's quarantine path.
+                        // Deterministic linear backoff: a fixed
+                        // schedule, so reruns behave identically.
                         std::thread::sleep(shared.retry.backoff * attempt);
                         continue;
                     }

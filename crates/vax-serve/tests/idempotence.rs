@@ -1,10 +1,12 @@
 //! Journal idempotence: a resumed queue never re-runs a settled job,
 //! and the merged results are bit-identical to an uninterrupted run.
 //!
-//! The executor here is synthetic (deterministic results derived from
-//! the seed, no simulation) so the property hammers the *queue* logic:
-//! replay, claim, retry accounting, and result rendering — across
-//! random interruption points and worker counts.
+//! The property's executor is synthetic (deterministic results derived
+//! from the seed, no simulation) so it hammers the *queue* logic:
+//! replay, claim, retry accounting, result rendering and measurement
+//! read-back — across random interruption points and worker counts.
+//! One test runs the real simulator: the five-workload composite as
+//! `vax780 run --checkpoint` drives it through the journal.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -13,10 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use upc_monitor::Histogram;
-use vax780_core::{MeasuredWorkload, RetryPolicy};
+use vax780_core::{CompositeStudy, MeasuredWorkload, RetryPolicy};
 use vax_mem::HwCounters;
 use vax_serve::queue::ExecError;
-use vax_serve::{run_server, Executor, JobSpec, Journal, ServeConfig};
+use vax_serve::{run_server, Executor, InProcessExecutor, JobSpec, JobState, Journal, ServeConfig};
 use vax_ucode::MicroAddr;
 use vax_workloads::WorkloadKind;
 
@@ -81,6 +83,17 @@ impl Executor for CountingExecutor {
         }
         Ok(synth(seed))
     }
+}
+
+fn assert_same_measurement(what: &str, a: &MeasuredWorkload, b: &MeasuredWorkload) {
+    assert_eq!(a.name, b.name, "{what}: workload");
+    assert_eq!(a.histogram, b.histogram, "{what}: histogram");
+    assert_eq!(a.counters, b.counters, "{what}: counters");
+    assert_eq!(
+        (a.instructions, a.cycles),
+        (b.instructions, b.cycles),
+        "{what}: progress"
+    );
 }
 
 fn drain_config(journal: PathBuf, workers: usize) -> ServeConfig {
@@ -202,6 +215,104 @@ proptest! {
         prop_assert_eq!(ref_lines, n);
         prop_assert_eq!(merged, ref_merged);
 
+        // Every completed job's measurement reads back exactly, from
+        // the tail or from behind the snapshot index.
+        let journal = Journal::open(&interrupted).unwrap();
+        for (id, &seed) in (1..).zip(&seeds) {
+            match journal.measurement(id).unwrap() {
+                Some(m) => assert_same_measurement(&format!("seed {seed}"), &m, &synth(seed)),
+                None => prop_assert_eq!(journal.state(id), Some(JobState::Failed)),
+            }
+        }
+
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Counts real simulations, so a resume can prove what it re-ran.
+struct CountingSimulator(AtomicU64);
+
+impl Executor for CountingSimulator {
+    fn run(
+        &self,
+        spec: &JobSpec,
+        timeout: Option<Duration>,
+    ) -> Result<MeasuredWorkload, ExecError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        InProcessExecutor.run(spec, timeout)
+    }
+}
+
+/// A composite campaign killed after one job (its second job mid
+/// attempt) and then resumed from its journal produces exactly what an
+/// uninterrupted campaign produces — per-workload histograms and
+/// counters, and so the merged composite — running only the unsettled
+/// jobs; a journal that already holds every result re-runs nothing.
+#[test]
+fn checkpointed_resume_is_bit_identical_to_uninterrupted() {
+    let kinds = [
+        WorkloadKind::TimesharingLight,
+        WorkloadKind::Educational,
+        WorkloadKind::Commercial,
+    ];
+    let (uninterrupted, _) = CompositeStudy::new(4_000)
+        .warmup(1_500)
+        .with_kinds(&kinds)
+        .max_workers(2)
+        .run();
+
+    let dir = tempdir();
+    let path = dir.join("campaign.journal");
+    let specs: Vec<JobSpec> = kinds
+        .iter()
+        .map(|&kind| {
+            let mut spec = JobSpec::new(kind);
+            spec.instructions = 4_000;
+            spec.warmup = 1_500;
+            spec
+        })
+        .collect();
+    {
+        let mut j = Journal::open(&path).unwrap();
+        for spec in &specs {
+            j.append_enqueue(spec).unwrap();
+        }
+        j.append_start(1, 1).unwrap();
+        let first = InProcessExecutor.run(&specs[0], None).unwrap();
+        j.append_complete(1, &first).unwrap();
+        j.append_start(2, 1).unwrap();
+    }
+
+    // Re-open the file, exactly as a fresh process does, and resume.
+    let resume = || {
+        let exec = Arc::new(CountingSimulator(AtomicU64::new(0)));
+        let report = run_server(&drain_config(path.clone(), 2), None, exec.clone()).unwrap();
+        assert_eq!((report.done, report.failed), (3, 0));
+        let journal = Journal::open(&path).unwrap();
+        let results: Vec<MeasuredWorkload> = (1..=3)
+            .map(|id| journal.measurement(id).unwrap().expect("settled as done"))
+            .collect();
+        (exec.0.load(Ordering::SeqCst), results)
+    };
+    let merged = |results: &[MeasuredWorkload]| {
+        let mut histogram = Histogram::new();
+        let mut counters = HwCounters::new();
+        for r in results {
+            histogram.merge(&r.histogram);
+            counters.merge(&r.counters);
+        }
+        (histogram, counters)
+    };
+    let (runs, resumed) = resume();
+    assert_eq!(runs, 2, "only the two unsettled jobs re-run");
+    for (u, r) in uninterrupted.iter().zip(&resumed) {
+        assert_same_measurement(u.name, u, r);
+    }
+    assert_eq!(merged(&resumed), merged(&uninterrupted));
+
+    // A third open finds everything settled: nothing re-runs.
+    let (runs, replayed) = resume();
+    assert_eq!(runs, 0, "no fresh simulation");
+    assert_eq!(merged(&replayed), merged(&uninterrupted));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,17 +3,15 @@
 //! ```text
 //! vax780 run [--workload NAME|all] [--instructions N] [--warmup N]
 //!            [--decode-overlap] [--save-histogram FILE]
-//!            [--jobs N] [--serial] [--metrics]
-//!            [--checkpoint FILE] [--halt-after N]
-//!            [--retry N] [--retry-backoff-ms MS]
+//!            [--jobs N] [--serial] [--metrics] [--checkpoint FILE]
 //! vax780 serve --queue FILE --socket PATH|tcp:ADDR [--jobs N]
 //!              [--capacity N] [--client-quota N] [--compact-every N]
 //!              [--retry N] [--retry-backoff-ms MS]
-//!              [--timeout-secs S] [--process-workers] [--metrics]
+//!              [--timeout-secs S] [--metrics]
 //! vax780 enqueue (--queue FILE | --socket PATH) [--client NAME] --spec LINE...
 //! vax780 status (--queue FILE | --socket PATH)
 //! vax780 drain (--queue FILE [--jobs N] ... | --socket PATH) [--out FILE]
-//! vax780 worker --connect PATH|tcp:ADDR [--timeout-secs S] [--process-workers]
+//! vax780 worker --connect PATH|tcp:ADDR [--timeout-secs S]
 //! vax780 compact (--queue FILE | --socket PATH)
 //! vax780 sweep [--workload NAME|all] [--instructions N] [--warmup N]
 //!              [--axis NAME]... [--jobs N] [--serial]
@@ -37,18 +35,19 @@
 //!
 //! `run` measures one workload (or the five-workload composite, fanned
 //! across a worker pool), prints every table plus the paper comparison,
-//! and can save the raw histogram; `serve` runs the crash-safe campaign
-//! server: a persistent `vax-queue-journal v2` job queue (append-only
-//! tail plus a compacted snapshot of settled jobs, so replay stays
-//! O(unsettled) no matter the history) drained by a worker pool
-//! (threads, `job-worker` OS processes with `--process-workers`, or
-//! remote `vax780 worker --connect` processes claiming over TCP),
-//! listening on a Unix socket or TCP address with bounded-capacity
-//! backpressure and optional per-client quotas — `enqueue`, `status`,
-//! `drain`, and `compact` are its clients (each also works offline
-//! against `--queue` when no server owns the journal); a SIGKILLed
-//! server restarts from the
-//! journal and re-runs only unsettled jobs, bit-identically; `sweep` re-measures the composite
+//! and can save the raw histogram; with `--checkpoint FILE` the
+//! composite runs as five jobs in a queue journal, so a killed campaign
+//! resumes from the file. `serve` runs the crash-safe campaign server:
+//! a persistent `vax-queue-journal v2` job queue (append-only tail plus
+//! a compacted snapshot of settled jobs, so replay stays O(unsettled)
+//! no matter the history) drained by a worker pool (threads, or remote
+//! `vax780 worker --connect` processes claiming over TCP), listening on
+//! a Unix socket or TCP address with bounded-capacity backpressure and
+//! optional per-client quotas — `enqueue`, `status`, `drain`, and
+//! `compact` are its clients (each also works offline against
+//! `--queue` when no server owns the journal); a SIGKILLed server
+//! restarts from the journal and re-runs only unsettled jobs,
+//! bit-identically; `sweep` re-measures the composite
 //! under a grid of machine ablations (§6 what-ifs by simulation) and
 //! emits a per-point CPI/stall table plus optional CSV/JSONL; `trace`
 //! runs a workload with the second instrument attached (the event
@@ -76,8 +75,11 @@
 //! silently measuring the defaults.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use vax780_core::sweep::{Sweep, SweepAxis, SweepGrid};
-use vax780_core::{Checkpoint, CompositeStudy, Experiment, RetryPolicy};
+use vax780_core::{
+    default_workers, CampaignMetrics, CompositeStudy, Experiment, MeasuredWorkload, RetryPolicy,
+};
 use vax_analysis::report::StudyReport;
 use vax_analysis::Analysis;
 use vax_cpu::CpuConfig;
@@ -103,9 +105,6 @@ fn main() -> ExitCode {
         Some("drain") => checked(cmd_drain, "drain", &args[1..], DRAIN_SPEC),
         Some("worker") => checked(cmd_worker, "worker", &args[1..], WORKER_SPEC),
         Some("compact") => checked(cmd_compact, "compact", &args[1..], COMPACT_SPEC),
-        // Internal: one job per process, spec on stdin, result blob on
-        // stdout (spawned by `serve --process-workers`).
-        Some("job-worker") => checked(cmd_job_worker, "job-worker", &args[1..], &[]),
         Some("list") => checked(
             |_| {
                 for kind in WorkloadKind::ALL {
@@ -117,7 +116,10 @@ fn main() -> ExitCode {
             &args[1..],
             &[],
         ),
-        _ => {
+        other => {
+            if let Some(name) = other {
+                eprintln!("vax780: unknown subcommand '{name}'");
+            }
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
@@ -130,13 +132,12 @@ const USAGE: &str =
      \n\
      run     --workload NAME|all  --instructions N  --warmup N\n\
      \x20       --decode-overlap  --save-histogram FILE\n\
-     \x20       --jobs N  --serial  --metrics\n\
-     \x20       --checkpoint FILE  --halt-after N\n\
-     \x20       --retry N  --retry-backoff-ms MS\n\
+     \x20       --jobs N  --serial  --metrics  --checkpoint FILE\n\
+     \x20       (--checkpoint: the composite as five jobs in a queue journal;\n\
+     \x20        re-run the same command to resume a killed campaign)\n\
      serve   --queue FILE  --socket PATH|tcp:ADDR  --jobs N  --capacity N\n\
      \x20       --client-quota N  --compact-every N\n\
-     \x20       --retry N  --retry-backoff-ms MS  --timeout-secs S\n\
-     \x20       --process-workers  --metrics\n\
+     \x20       --retry N  --retry-backoff-ms MS  --timeout-secs S  --metrics\n\
      \x20       (--jobs 0 = no local workers; remote `vax780 worker` only)\n\
      enqueue (--queue FILE | --socket PATH)  --client NAME  --spec LINE (repeatable)\n\
      \x20       (spec: workload=NAME instructions=N warmup=N [seed=N] [tier=naive]\n\
@@ -144,15 +145,14 @@ const USAGE: &str =
      \x20        [write-buffer=N] [faults=A+B fault-seed=N fault-count=N fault-window=N])\n\
      status  (--queue FILE | --socket PATH)\n\
      drain   (--queue FILE  --jobs N  --retry N  --retry-backoff-ms MS\n\
-     \x20        --timeout-secs S  --process-workers | --socket PATH)  --out FILE\n\
-     worker  --connect PATH|tcp:ADDR  --timeout-secs S  --process-workers\n\
+     \x20        --timeout-secs S | --socket PATH)  --out FILE\n\
+     worker  --connect PATH|tcp:ADDR  --timeout-secs S\n\
      \x20       (claim jobs from a remote `serve` until it drains)\n\
      compact (--queue FILE | --socket PATH)\n\
      \x20       (fold settled records into the journal's snapshot segment)\n\
      sweep   --workload NAME|all  --instructions N  --warmup N\n\
      \x20       --axis cache-size|cache-ways|tb-entries|tb-split|write-buffer|decode-overlap\n\
      \x20       --jobs N  --serial  --csv FILE  --jsonl FILE  --metrics\n\
-     \x20       --retry N  --retry-backoff-ms MS\n\
      trace   --workload NAME  --instructions N  --warmup N\n\
      \x20       --trace-out FILE  --trace-format jsonl|chrome\n\
      \x20       --trace-limit N  --metrics\n\
@@ -185,9 +185,6 @@ const RUN_SPEC: Spec = &[
     ("--serial", false),
     ("--metrics", false),
     ("--checkpoint", true),
-    ("--halt-after", true),
-    ("--retry", true),
-    ("--retry-backoff-ms", true),
 ];
 const SWEEP_SPEC: Spec = &[
     ("--workload", true),
@@ -199,8 +196,6 @@ const SWEEP_SPEC: Spec = &[
     ("--csv", true),
     ("--jsonl", true),
     ("--metrics", false),
-    ("--retry", true),
-    ("--retry-backoff-ms", true),
 ];
 const SERVE_SPEC: Spec = &[
     ("--queue", true),
@@ -213,7 +208,6 @@ const SERVE_SPEC: Spec = &[
     ("--retry", true),
     ("--retry-backoff-ms", true),
     ("--timeout-secs", true),
-    ("--process-workers", false),
     ("--metrics", false),
 ];
 const ENQUEUE_SPEC: Spec = &[
@@ -222,11 +216,7 @@ const ENQUEUE_SPEC: Spec = &[
     ("--client", true),
     ("--spec", true),
 ];
-const WORKER_SPEC: Spec = &[
-    ("--connect", true),
-    ("--timeout-secs", true),
-    ("--process-workers", false),
-];
+const WORKER_SPEC: Spec = &[("--connect", true), ("--timeout-secs", true)];
 const COMPACT_SPEC: Spec = &[("--queue", true), ("--socket", true)];
 const STATUS_SPEC: Spec = &[("--queue", true), ("--socket", true)];
 const DRAIN_SPEC: Spec = &[
@@ -237,7 +227,6 @@ const DRAIN_SPEC: Spec = &[
     ("--retry", true),
     ("--retry-backoff-ms", true),
     ("--timeout-secs", true),
-    ("--process-workers", false),
     ("--out", true),
 ];
 const TRACE_SPEC: Spec = &[
@@ -363,6 +352,32 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// A numeric option's value, or `default` when the option is absent. A
+/// value that does not parse is an error naming the flag and the value,
+/// never a silent fall back to the default.
+fn num_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match opt(args, name) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("{name} wants a non-negative integer, got '{s}'")),
+    }
+}
+
+/// Unwrap an option-parsing result, or print its error and fail the
+/// subcommand.
+macro_rules! or_fail {
+    ($result:expr) => {
+        match $result {
+            Ok(value) => value,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    };
+}
+
 /// Worker-pool size from `--jobs`/`--serial` (`None` = library default).
 fn jobs_arg(args: &[String]) -> Result<Option<usize>, String> {
     if flag(args, "--serial") {
@@ -427,46 +442,17 @@ fn print_analysis(analysis: &Analysis) {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let instructions: u64 = opt(args, "--instructions")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
-    let warmup: u64 = opt(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000);
+    let instructions: u64 = or_fail!(num_opt(args, "--instructions", 200_000));
+    let warmup: u64 = or_fail!(num_opt(args, "--warmup", 30_000));
     let workload = opt(args, "--workload").unwrap_or("all");
-    let jobs = match jobs_arg(args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let jobs = or_fail!(jobs_arg(args));
+    let decode_overlap = flag(args, "--decode-overlap");
+    let cpu_config = if decode_overlap {
+        CpuConfig::with_decode_overlap()
+    } else {
+        CpuConfig::default()
     };
-    let retry = match retry_arg(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cpu_config = CpuConfig::default();
-    if flag(args, "--decode-overlap") {
-        cpu_config = CpuConfig::with_decode_overlap();
-    }
     let checkpoint_path = opt(args, "--checkpoint");
-    let halt_after: Option<usize> = match opt(args, "--halt-after") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("--halt-after wants a non-negative integer, got '{s}'");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    if halt_after.is_some() && checkpoint_path.is_none() {
-        eprintln!("--halt-after only makes sense with --checkpoint");
-        return ExitCode::FAILURE;
-    }
     if checkpoint_path.is_some() && workload != "all" {
         eprintln!("--checkpoint resumes the composite campaign; use --workload all");
         return ExitCode::FAILURE;
@@ -474,67 +460,50 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     let (analysis, histogram, counters) = if workload == "all" {
         eprintln!("running composite: 5 workloads x {instructions} instructions ...");
-        let mut study = CompositeStudy::new(instructions)
-            .warmup(warmup)
-            .cpu_config(cpu_config);
-        if let Some(n) = jobs {
-            study = study.max_workers(n);
-        }
-        if let Some(policy) = retry {
-            study = study.retry(policy);
-        }
-        let outcome = match checkpoint_path {
+        let (results, metrics) = match checkpoint_path {
             Some(path) => {
-                let mut cp =
-                    match Checkpoint::open(std::path::Path::new(path), instructions, warmup) {
-                        Ok(cp) => cp,
-                        Err(e) => {
-                            eprintln!("vax780 run: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                let restored = cp.completed().len();
-                if restored > 0 {
-                    eprintln!("resuming: {restored} job(s) restored from {path}");
-                }
-                match study.run_checkpointed(&mut cp, halt_after) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("vax780 run: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let specs: Vec<vax_serve::JobSpec> = WorkloadKind::ALL
+                    .into_iter()
+                    .map(|kind| {
+                        let mut spec = vax_serve::JobSpec::new(kind);
+                        spec.instructions = instructions;
+                        spec.warmup = warmup;
+                        spec.decode_overlap = decode_overlap;
+                        spec
+                    })
+                    .collect();
+                or_fail!(run_checkpointed(std::path::Path::new(path), &specs, jobs))
             }
-            None => study.run_supervised(),
+            None => {
+                let mut study = CompositeStudy::new(instructions)
+                    .warmup(warmup)
+                    .cpu_config(cpu_config);
+                if let Some(n) = jobs {
+                    study = study.max_workers(n);
+                }
+                let outcome = study.run_supervised();
+                for f in &outcome.failures {
+                    eprintln!("quarantined: {f}");
+                }
+                if !outcome.failures.is_empty() {
+                    return ExitCode::FAILURE;
+                }
+                (outcome.results, outcome.metrics)
+            }
         };
         let mut merged = upc_monitor::Histogram::new();
         let mut counters = vax_mem::HwCounters::new();
-        for r in &outcome.results {
+        for r in &results {
             eprintln!("  {:<20} CPI {:.2}", r.name, r.analysis().cpi());
             merged.merge(&r.histogram);
             counters.merge(&r.counters);
         }
         if flag(args, "--metrics") {
             println!("=== campaign self-metrics ===");
-            println!("{}\n", outcome.metrics);
+            println!("{metrics}\n");
         }
-        for f in &outcome.failures {
-            eprintln!("quarantined: {f}");
-        }
-        if !outcome.failures.is_empty() {
-            return ExitCode::FAILURE;
-        }
-        if !outcome.pending.is_empty() {
-            // A deliberate halt is not a failure: the checkpoint holds
-            // the completed jobs, resuming finishes the campaign.
-            eprintln!(
-                "halted: {} job(s) pending ({}); re-run with the same --checkpoint to resume",
-                outcome.pending.len(),
-                outcome.pending.join(", ")
-            );
-            return ExitCode::SUCCESS;
-        }
-        (outcome.analysis, merged, counters)
+        let analysis = Analysis::new(&merged, &ControlStore::build(), &counters);
+        (analysis, merged, counters)
     } else {
         let Some(kind) = parse_kind(workload) else {
             eprintln!("unknown workload '{workload}'; try `vax780 list`");
@@ -562,31 +531,104 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `run --workload all --checkpoint FILE`: the composite campaign as
+/// five jobs in a `vax-queue-journal v2`. Enqueue whichever of `specs`
+/// the journal does not hold yet, drain it offline as `drain --queue`
+/// does (one attempt per job: a seeded simulation that panicked once
+/// panics again), and read the measurements back in `specs` order. A
+/// killed campaign resumes from the file: settled jobs are read back,
+/// not re-run. A journal holding any other spec belongs to another
+/// campaign and is refused, naming that spec.
+fn run_checkpointed(
+    path: &std::path::Path,
+    specs: &[vax_serve::JobSpec],
+    jobs: Option<usize>,
+) -> Result<(Vec<MeasuredWorkload>, CampaignMetrics), String> {
+    use vax_serve::{run_server, InProcessExecutor, JobSpec, JobState, Journal, ServeConfig};
+
+    let fail = |e: &dyn std::fmt::Display| format!("vax780 run: {e}");
+    let mut journal = Journal::open(path).map_err(|e| fail(&e))?;
+    for w in journal.warnings() {
+        eprintln!("vax780 run: queue journal {}: {w}", path.display());
+    }
+    // The first job holding each spec; settled ones are restored.
+    let mut ids = vec![None; specs.len()];
+    let mut restored = 0;
+    for (id, state) in journal.states() {
+        let line = journal
+            .spec_line(id)
+            .map_err(|e| fail(&e))?
+            .unwrap_or_default();
+        let Some(k) = JobSpec::parse(&line)
+            .ok()
+            .and_then(|spec| specs.iter().position(|s| *s == spec))
+        else {
+            return Err(fail(&format!(
+                "queue journal {} holds job {id} `{line}`, which is not one of this \
+                 campaign's specs; resume it with the options that wrote it, or use a fresh \
+                 --checkpoint file",
+                path.display()
+            )));
+        };
+        if ids[k].is_none() {
+            ids[k] = Some(id);
+            restored += usize::from(state == JobState::Done);
+        }
+    }
+    if restored > 0 {
+        eprintln!(
+            "resuming: {restored} job(s) restored from {}",
+            path.display()
+        );
+    }
+    for (slot, spec) in ids.iter_mut().zip(specs) {
+        if slot.is_none() {
+            *slot = Some(journal.append_enqueue(spec).map_err(|e| fail(&e))?);
+        }
+    }
+    let unsettled = journal.counts().0;
+    drop(journal);
+
+    let config = ServeConfig {
+        journal: path.to_path_buf(),
+        workers: jobs.unwrap_or_else(|| default_workers(unsettled)),
+        retry: RetryPolicy::from_retries(0, 0),
+        drain_on_start: true,
+        ..ServeConfig::default()
+    };
+    let report = run_server(&config, None, Arc::new(InProcessExecutor)).map_err(|e| fail(&e))?;
+    let journal = Journal::open(path).map_err(|e| fail(&e))?;
+    let mut results = Vec::new();
+    for id in ids.into_iter().flatten() {
+        match journal.measurement(id).map_err(|e| fail(&e))? {
+            Some(m) => results.push(m),
+            None => eprintln!(
+                "quarantined: {}",
+                journal
+                    .result_line(id)
+                    .map_err(|e| fail(&e))?
+                    .unwrap_or_default()
+            ),
+        }
+    }
+    if results.len() < specs.len() {
+        return Err(fail(&format!(
+            "{} job(s) failed; {} keeps each failure as settled",
+            specs.len() - results.len(),
+            path.display()
+        )));
+    }
+    Ok((results, report.metrics))
+}
+
 /// Re-measure the composite under a grid of machine ablations (§6) and
 /// print the per-point CPI/stall breakdown, with optional CSV/JSONL
 /// export and host-side self-metrics for the worker pool.
 fn cmd_sweep(args: &[String]) -> ExitCode {
-    let instructions: u64 = opt(args, "--instructions")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    let warmup: u64 = opt(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15_000);
+    let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
+    let warmup: u64 = or_fail!(num_opt(args, "--warmup", 15_000));
     let workload = opt(args, "--workload").unwrap_or("all");
-    let jobs = match jobs_arg(args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let retry = match retry_arg(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let jobs = or_fail!(jobs_arg(args));
 
     let kinds: Vec<WorkloadKind> = if workload == "all" {
         WorkloadKind::ALL.to_vec()
@@ -627,9 +669,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     if let Some(n) = jobs {
         sweep = sweep.max_workers(n);
     }
-    if let Some(policy) = retry {
-        sweep = sweep.retry(policy);
-    }
     let outcome = sweep.run();
 
     println!("=== configuration sweep ===");
@@ -657,19 +696,8 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 }
 
 /// Parse the worker-pool options shared by `serve` and offline
-/// `drain` — queue path, workers, capacity, retry, per-attempt
-/// timeout — and pick the executor: in-process threads by default,
-/// one `vax780 job-worker` OS process per attempt with
-/// `--process-workers`.
-fn pool_setup(
-    args: &[String],
-) -> Result<
-    (
-        vax_serve::ServeConfig,
-        std::sync::Arc<dyn vax_serve::Executor>,
-    ),
-    String,
-> {
+/// `drain`: queue path, workers, capacity, retry, per-attempt timeout.
+fn pool_setup(args: &[String]) -> Result<vax_serve::ServeConfig, String> {
     use vax_serve::ServeConfig;
 
     let jobs = pool_jobs_arg(args)?;
@@ -715,7 +743,7 @@ fn pool_setup(
         timeout,
         drain_on_start: false,
     };
-    Ok((config, executor_arg(args)?))
+    Ok(config)
 }
 
 /// Worker-pool size for the queue commands: like [`jobs_arg`] but `0`
@@ -747,34 +775,14 @@ fn timeout_arg(args: &[String]) -> Result<Option<std::time::Duration>, String> {
     }
 }
 
-/// The executor for local attempts: in-process threads by default, one
-/// `vax780 job-worker` OS process per attempt with `--process-workers`.
-fn executor_arg(args: &[String]) -> Result<std::sync::Arc<dyn vax_serve::Executor>, String> {
-    use std::sync::Arc;
-    use vax_serve::{InProcessExecutor, ProcessExecutor};
-    if flag(args, "--process-workers") {
-        let exe = std::env::current_exe()
-            .map_err(|e| format!("cannot locate the vax780 binary for --process-workers: {e}"))?;
-        Ok(Arc::new(ProcessExecutor { exe }))
-    } else {
-        Ok(Arc::new(InProcessExecutor))
-    }
-}
-
 /// Long-running campaign server: replay the queue journal, listen on
 /// `--socket`, shard jobs across the worker pool, and keep every
 /// state transition durable. Exits when a client sends `drain` or
 /// `shutdown`; nonzero if any job settled as failed.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    use vax_serve::{run_server, Endpoint};
+    use vax_serve::{run_server, Endpoint, InProcessExecutor};
 
-    let (config, executor) = match pool_setup(args) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let config = or_fail!(pool_setup(args));
     let Some(socket) = opt(args, "--socket") else {
         eprintln!("serve wants --socket PATH|tcp:ADDR (offline settling is `drain --queue FILE`)");
         return ExitCode::FAILURE;
@@ -786,7 +794,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         config.workers,
         config.capacity
     );
-    match run_server(&config, Some(&endpoint), executor) {
+    match run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor)) {
         Ok(report) => {
             println!("settled: {} done, {} failed", report.done, report.failed);
             if flag(args, "--metrics") {
@@ -1035,16 +1043,11 @@ fn drain_sink(args: &[String]) -> Result<Box<dyn std::io::Write>, String> {
 fn cmd_drain(args: &[String]) -> ExitCode {
     use std::io::Write;
     use std::time::Duration;
-    use vax_serve::{run_server, Client, Endpoint, Journal};
+    use vax_serve::{run_server, Client, Endpoint, InProcessExecutor, Journal};
 
     // Pool flags are validated up front even in `--socket` mode, where
     // the live server's own pool settings apply and these are unused.
-    for check in [retry_arg(args).map(|_| ()), pool_jobs_arg(args).map(|_| ())] {
-        if let Err(e) = check {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let mut config = or_fail!(pool_setup(args));
     match (opt(args, "--queue"), opt(args, "--socket")) {
         (Some(_), Some(_)) => {
             eprintln!("drain wants exactly one of --queue or --socket, not both");
@@ -1056,14 +1059,7 @@ fn cmd_drain(args: &[String]) -> ExitCode {
         }
         (None, Some(socket)) => {
             let client = Client::new(Endpoint::parse(socket), Duration::from_secs(5));
-            let out = match drain_sink(args) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut counter = FailCount::new(out);
+            let mut counter = FailCount::new(or_fail!(drain_sink(args)));
             let streamed = match client.request_stream("drain", &mut counter) {
                 Ok(n) => n,
                 Err(e) => {
@@ -1084,15 +1080,8 @@ fn cmd_drain(args: &[String]) -> ExitCode {
             }
         }
         (Some(queue), None) => {
-            let (mut config, executor) = match pool_setup(args) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
             config.drain_on_start = true;
-            match run_server(&config, None, executor) {
+            match run_server(&config, None, Arc::new(InProcessExecutor)) {
                 Ok(report) => {
                     // The pool has exited; reopen the settled journal
                     // and stream results straight from its segments.
@@ -1136,19 +1125,13 @@ fn cmd_worker(args: &[String]) -> ExitCode {
     use std::io::{BufRead, Write};
     use std::time::Duration;
     use vax_serve::queue::render_result_blob;
-    use vax_serve::{Endpoint, JobSpec};
+    use vax_serve::{Endpoint, Executor, InProcessExecutor, JobSpec};
 
     let Some(connect) = opt(args, "--connect") else {
         eprintln!("worker wants --connect tcp:HOST:PORT (or a Unix socket path)");
         return ExitCode::FAILURE;
     };
-    let (timeout, executor) = match timeout_arg(args).and_then(|t| Ok((t, executor_arg(args)?))) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let timeout = or_fail!(timeout_arg(args));
     let endpoint = Endpoint::parse(connect);
     eprintln!("vax780 worker: claiming from {endpoint}");
     let (mut done, mut failed) = (0usize, 0usize);
@@ -1192,7 +1175,7 @@ fn cmd_worker(args: &[String]) -> ExitCode {
         let outcome = JobSpec::parse(spec_line)
             .map_err(|e| format!("bad spec: {e}"))
             .and_then(|spec| {
-                executor
+                InProcessExecutor
                     .run(&spec, timeout)
                     .map_err(|e| e.to_string().replace('\n', " "))
             });
@@ -1280,38 +1263,6 @@ fn cmd_compact(args: &[String]) -> ExitCode {
     }
 }
 
-/// Internal executor child for `serve --process-workers`: one job
-/// spec on stdin, one `vax-job-result v1` blob on stdout. A panic or
-/// nonzero exit here is one failed *attempt* in the parent, never a
-/// lost queue.
-fn cmd_job_worker(_args: &[String]) -> ExitCode {
-    use std::io::Read;
-    use vax_serve::{Executor, InProcessExecutor, JobSpec};
-
-    let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("job-worker: reading spec from stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let spec = match JobSpec::parse(input.trim()) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("job-worker: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match InProcessExecutor.run(&spec, None) {
-        Ok(m) => {
-            print!("{}", vax_serve::queue::render_result_blob(&m));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("job-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Run one workload with both instruments attached from boot — the µPC
 /// board and the event tracer tee'd off the same [`CycleSink`] feed —
 /// then export the trace and reconcile trace vs histogram vs hardware
@@ -1321,12 +1272,8 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     use upc_monitor::{Command, HistogramBoard};
     use vax_trace::{SelfMetrics, Tracer};
 
-    let instructions: u64 = opt(args, "--instructions")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    let warmup: u64 = opt(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
+    let warmup: u64 = or_fail!(num_opt(args, "--warmup", 10_000));
     let workload = opt(args, "--workload").unwrap_or("timesharing-light");
     let Some(kind) = parse_kind(workload) else {
         eprintln!("unknown workload '{workload}'; try `vax780 list`");
@@ -1337,9 +1284,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         eprintln!("unknown trace format '{format}' (want jsonl or chrome)");
         return ExitCode::FAILURE;
     }
-    let limit: usize = opt(args, "--trace-limit")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(vax_trace::DEFAULT_CAPACITY);
+    let limit: usize = or_fail!(num_opt(args, "--trace-limit", vax_trace::DEFAULT_CAPACITY));
 
     let mut metrics = SelfMetrics::new();
     let mut machine = match vax_workloads::try_build_machine(&profile(kind)) {
@@ -1426,12 +1371,8 @@ fn cmd_inject(args: &[String]) -> ExitCode {
     use vax_fault::{FaultClass, FaultEngine, FaultPlan};
     use vax_trace::Tracer;
 
-    let instructions: u64 = opt(args, "--instructions")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    let warmup: u64 = opt(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
+    let warmup: u64 = or_fail!(num_opt(args, "--warmup", 10_000));
     let workload = opt(args, "--workload").unwrap_or("timesharing-light");
     let Some(kind) = parse_kind(workload) else {
         eprintln!("unknown workload '{workload}'; try `vax780 list`");
@@ -1586,33 +1527,13 @@ fn cmd_inject(args: &[String]) -> ExitCode {
 /// once the loops are proven to be the same machine.
 fn cmd_bench(args: &[String]) -> ExitCode {
     let mut spec = vax_perf::BenchSpec::default();
-    if let Some(s) = opt(args, "--instructions") {
-        match s.parse() {
-            Ok(n) => spec.timing_instructions = n,
-            Err(_) => {
-                eprintln!("--instructions wants a positive integer, got '{s}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(s) = opt(args, "--trace-instructions") {
-        match s.parse() {
-            Ok(n) => spec.trace_instructions = n,
-            Err(_) => {
-                eprintln!("--trace-instructions wants a positive integer, got '{s}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(s) = opt(args, "--warmup") {
-        match s.parse() {
-            Ok(n) => spec.warmup = n,
-            Err(_) => {
-                eprintln!("--warmup wants a non-negative integer, got '{s}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    spec.timing_instructions = or_fail!(num_opt(args, "--instructions", spec.timing_instructions));
+    spec.trace_instructions = or_fail!(num_opt(
+        args,
+        "--trace-instructions",
+        spec.trace_instructions
+    ));
+    spec.warmup = or_fail!(num_opt(args, "--warmup", spec.warmup));
     if let Some(s) = opt(args, "--repeat") {
         match s.parse() {
             Ok(n) if n >= 1 => spec.repeat = n,
@@ -1670,20 +1591,8 @@ fn cmd_probe(args: &[String]) -> ExitCode {
     }
 
     let mut config = ProbeConfig::default();
-    for (name, slot) in [
-        ("--unroll", &mut config.unroll),
-        ("--iters", &mut config.iters),
-    ] {
-        if let Some(s) = opt(args, name) {
-            match s.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("{name} wants a positive integer, got '{s}'");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
+    config.unroll = or_fail!(num_opt(args, "--unroll", config.unroll));
+    config.iters = or_fail!(num_opt(args, "--iters", config.iters));
     let pair_args = opt_all(args, "--pair");
     if !pair_args.is_empty() {
         let mut filter = std::collections::BTreeSet::new();
@@ -1844,12 +1753,8 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
         eprintln!("unknown workload '{workload}'; try `vax780 list`");
         return ExitCode::FAILURE;
     };
-    let lines: usize = opt(args, "--lines")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
-    let function: usize = opt(args, "--function")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let lines: usize = or_fail!(num_opt(args, "--lines", 40));
+    let function: usize = or_fail!(num_opt(args, "--function", 0));
 
     // Regenerate the first process's program exactly as the session does.
     let params = profile(kind);

@@ -220,9 +220,11 @@ fn rejects_unknown_flags_naming_the_flag() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires a value"));
 }
 
-/// The options of the retired block tier and the dynamic verify pass
-/// are gone: naming one fails up front, naming the option, instead of
-/// silently benchmarking or verifying the defaults.
+/// Retired options are gone: naming one fails up front, naming the
+/// option, instead of silently running the defaults. That covers the
+/// block tier and the dynamic verify pass, the in-process retries and
+/// `--halt-after` of the campaign pool, and the process-per-attempt
+/// executor with its hidden `job-worker` subcommand.
 #[test]
 fn retired_bench_and_verify_options_are_rejected_naming_the_option() {
     for (args, option) in [
@@ -235,6 +237,22 @@ fn retired_bench_and_verify_options_are_rejected_naming_the_option() {
             &["verify", "--all-profiles", "--instructions", "200000"],
             "--instructions",
         ),
+        (&["run", "--halt-after", "2"], "--halt-after"),
+        (&["run", "--retry", "2"], "--retry"),
+        (&["sweep", "--retry", "2"], "--retry"),
+        (
+            &["serve", "--queue", "q.journal", "--process-workers"],
+            "--process-workers",
+        ),
+        (
+            &[
+                "worker",
+                "--connect",
+                "tcp:127.0.0.1:1",
+                "--process-workers",
+            ],
+            "--process-workers",
+        ),
     ] {
         let out = vax780().args(args).output().expect("runs");
         assert!(!out.status.success(), "{args:?} should fail");
@@ -244,11 +262,50 @@ fn retired_bench_and_verify_options_are_rejected_naming_the_option() {
             "{args:?}: stderr should name {option}:\n{err}"
         );
     }
+    let out = vax780().arg("job-worker").output().expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown subcommand 'job-worker'"),
+        "stderr should name job-worker:\n{err}"
+    );
+}
+
+/// A numeric option that does not parse is an error naming the flag
+/// and the value, never a silent fall back to the default length.
+#[test]
+fn numeric_options_reject_bad_values_naming_flag_and_value() {
+    for args in [
+        &["run", "--workload", "sci-eng", "--instructions", "abc"][..],
+        &["run", "--warmup", "-1"],
+        &["sweep", "--instructions", "1e3"],
+        &["sweep", "--warmup", "lots"],
+        &["trace", "--instructions", "1k"],
+        &["trace", "--warmup", "x"],
+        &["trace", "--trace-limit", "-5"],
+        &["inject", "--faults", "parity", "--instructions", "2.5"],
+        &["inject", "--faults", "parity", "--warmup", "ten"],
+        &["disasm", "--lines", "all"],
+        &["disasm", "--function", "first"],
+    ] {
+        let out = vax780().args(args).output().expect("runs");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let (flag, value) = (args[args.len() - 2], args[args.len() - 1]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains(&format!("'{value}'")),
+            "{args:?}: stderr should name {flag} and '{value}':\n{err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: nothing may run with a bad value"
+        );
+    }
 }
 
 #[test]
 fn retry_flags_reject_non_numeric_values_naming_the_flag() {
-    for sub in ["run", "sweep", "serve", "drain"] {
+    for sub in ["serve", "drain"] {
         let out = vax780()
             .args([sub, "--retry", "three"])
             .output()
@@ -283,21 +340,15 @@ fn retry_flags_reject_non_numeric_values_naming_the_flag() {
         );
     }
 
-    // Valid values are accepted end to end.
+    // Valid values are accepted end to end (an offline drain of an
+    // empty queue).
+    let dir = std::env::temp_dir().join("vax780-retry-flags-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     let out = vax780()
-        .args([
-            "run",
-            "--workload",
-            "timesharing-light",
-            "--instructions",
-            "2000",
-            "--warmup",
-            "500",
-            "--retry",
-            "2",
-            "--retry-backoff-ms",
-            "1",
-        ])
+        .args(["drain", "--queue"])
+        .arg(dir.join("q.journal"))
+        .args(["--retry", "2", "--retry-backoff-ms", "1"])
         .output()
         .expect("runs");
     assert!(
@@ -497,12 +548,18 @@ fn output_write_failures_exit_nonzero_naming_the_path() {
     }
 }
 
+/// `run --checkpoint` is "enqueue, then drain" over a queue journal:
+/// two of the composite's five jobs settled beforehand by `enqueue` and
+/// `drain` are restored, the other three run, and the composite equals
+/// an uninterrupted campaign's. A journal of another campaign, an old
+/// `vax-queue-journal v1` and a retired `vax-campaign-checkpoint v1`
+/// are all refused, naming what they hold.
 #[test]
-fn run_checkpoint_halts_resumes_and_matches_uninterrupted() {
+fn run_checkpoint_resumes_a_partly_drained_journal_and_matches_uninterrupted() {
     let dir = std::env::temp_dir().join("vax780-ckpt-cli-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("camp.ckpt");
+    let journal = dir.join("camp.journal");
     let base = [
         "run",
         "--workload",
@@ -523,27 +580,37 @@ fn run_checkpoint_halts_resumes_and_matches_uninterrupted() {
     };
     let expect = headline(&String::from_utf8_lossy(&uninterrupted.stdout));
 
-    // "Kill" the campaign after two jobs...
-    let halted = vax780()
-        .args(base)
-        .args(["--checkpoint"])
-        .arg(&ckpt)
-        .args(["--halt-after", "2"])
+    // Settle two of the five composite jobs through the queue...
+    let enqueued = vax780()
+        .args(["enqueue", "--queue"])
+        .arg(&journal)
+        .args([
+            "--spec",
+            "workload=sci-eng instructions=2000 warmup=800",
+            "--spec",
+            "workload=timesharing-light instructions=2000 warmup=800",
+        ])
+        .output()
+        .expect("runs");
+    assert!(enqueued.status.success());
+    let drained = vax780()
+        .args(["drain", "--queue"])
+        .arg(&journal)
+        .arg("--serial")
         .output()
         .expect("runs");
     assert!(
-        halted.status.success(),
+        drained.status.success(),
         "{}",
-        String::from_utf8_lossy(&halted.stderr)
+        String::from_utf8_lossy(&drained.stderr)
     );
-    let herr = String::from_utf8_lossy(&halted.stderr);
-    assert!(herr.contains("halted: 3 job(s) pending"), "{herr}");
 
-    // ...resume, and get the uninterrupted campaign's exact numbers.
+    // ...then finish the campaign on the same journal, and get the
+    // uninterrupted campaign's exact numbers.
     let resumed = vax780()
         .args(base)
         .args(["--checkpoint"])
-        .arg(&ckpt)
+        .arg(&journal)
         .output()
         .expect("runs");
     assert!(
@@ -558,33 +625,56 @@ fn run_checkpoint_halts_resumes_and_matches_uninterrupted() {
         expect,
         "resumed campaign must be bit-identical to uninterrupted"
     );
+    let status = vax780()
+        .args(["status", "--queue"])
+        .arg(&journal)
+        .output()
+        .expect("runs");
+    assert!(
+        String::from_utf8_lossy(&status.stdout).contains("pending 0 done 5 failed 0"),
+        "{}",
+        String::from_utf8_lossy(&status.stdout)
+    );
 
-    // A mismatched config is refused, not silently mixed.
-    let mismatch = vax780()
+    // A journal holding another campaign's spec is refused, naming it.
+    let other = dir.join("other.journal");
+    let enqueued = vax780()
+        .args(["enqueue", "--queue"])
+        .arg(&other)
         .args([
-            "run",
-            "--workload",
-            "all",
-            "--instructions",
-            "4000",
-            "--warmup",
-            "800",
-            "--checkpoint",
+            "--spec",
+            "workload=educational instructions=4000 warmup=800",
         ])
-        .arg(&ckpt)
+        .output()
+        .expect("runs");
+    assert!(enqueued.status.success());
+    let mismatch = vax780()
+        .args(base)
+        .args(["--checkpoint"])
+        .arg(&other)
         .output()
         .expect("runs");
     assert!(!mismatch.status.success());
-    assert!(String::from_utf8_lossy(&mismatch.stderr).contains("instructions=2000"));
+    let err = String::from_utf8_lossy(&mismatch.stderr);
+    assert!(
+        err.contains("workload=educational instructions=4000 warmup=800"),
+        "{err}"
+    );
 
-    // --halt-after without --checkpoint is an error.
-    let out = vax780()
-        .args(base)
-        .args(["--halt-after", "1"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint"));
+    // Retired formats are refused with the header they carry.
+    for header in ["vax-queue-journal v1", "vax-campaign-checkpoint v1"] {
+        let old = dir.join("old.file");
+        std::fs::write(&old, format!("{header}\n")).unwrap();
+        let out = vax780()
+            .args(base)
+            .args(["--checkpoint"])
+            .arg(&old)
+            .output()
+            .expect("runs");
+        assert!(!out.status.success(), "{header} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("got `{header}`")), "{err}");
+    }
 }
 
 #[test]

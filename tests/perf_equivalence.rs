@@ -4,14 +4,19 @@
 //! observes the simulated machine — µPC histograms, hardware counters,
 //! and the full trace event stream — across every workload profile,
 //! while faults are being injected, and across a checkpoint/resume
-//! boundary (a campaign checkpointed by one loop must resume under the
-//! other without a bit of difference).
+//! boundary (a campaign whose queue journal was partly settled by one
+//! loop must resume under the other without a bit of difference).
 
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 use upc_monitor::{Command, HistogramBoard};
-use vax780_core::{Checkpoint, CompositeStudy, MeasuredWorkload};
+use vax780_core::{CompositeStudy, MeasuredWorkload, RetryPolicy};
 use vax_cpu::CpuConfig;
 use vax_fault::{FaultClass, FaultEngine, FaultPlan, FiredFault};
 use vax_mem::HwCounters;
+use vax_serve::queue::ExecError;
+use vax_serve::{run_server, Executor, JobId, JobSpec, Journal, ServeConfig};
 use vax_trace::{TraceEvent, Tracer};
 use vax_workloads::{build_machine_with_config, profile, ProfileParams, WorkloadKind};
 
@@ -198,11 +203,47 @@ fn assert_same_measurements(label: &str, a: &[MeasuredWorkload], b: &[MeasuredWo
     }
 }
 
-/// A campaign checkpointed under one loop resumes under the other with
-/// nothing to show for it: the combined results equal an uninterrupted
-/// single-loop campaign, in both default<->naive crossing directions.
-/// This is what licenses flipping `CpuConfig` between a crash and its
-/// resume.
+/// Runs every job under one host loop, whatever its spec's own tier
+/// says: a campaign whose binary switched loops between a crash and
+/// the resume.
+struct LoopExecutor(CpuConfig);
+
+impl Executor for LoopExecutor {
+    fn run(
+        &self,
+        spec: &JobSpec,
+        _timeout: Option<Duration>,
+    ) -> Result<MeasuredWorkload, ExecError> {
+        Ok(spec.experiment().cpu_config(self.0).run())
+    }
+}
+
+/// Enqueue `specs` into the journal at `path` and drain it offline
+/// under `config`'s loop, as `vax780 run --checkpoint` does.
+fn settle_under(path: &Path, specs: &[JobSpec], config: CpuConfig) -> Vec<JobId> {
+    let mut journal = Journal::open(path).unwrap();
+    let ids = specs
+        .iter()
+        .map(|spec| journal.append_enqueue(spec).unwrap())
+        .collect();
+    drop(journal);
+    let serve = ServeConfig {
+        journal: path.to_path_buf(),
+        workers: 2,
+        retry: RetryPolicy::from_retries(0, 0),
+        drain_on_start: true,
+        ..ServeConfig::default()
+    };
+    let report = run_server(&serve, None, Arc::new(LoopExecutor(config))).unwrap();
+    assert_eq!(report.failed, 0);
+    ids
+}
+
+/// A campaign journal partly settled under one loop resumes under the
+/// other with nothing to show for it: the combined results equal an
+/// uninterrupted single-loop campaign, in both default<->naive crossing
+/// directions. This is what licenses flipping `CpuConfig` between a
+/// crash and its resume.
 #[test]
 fn checkpoint_resume_crosses_loop_boundary() {
     let kinds = [
@@ -210,14 +251,20 @@ fn checkpoint_resume_crosses_loop_boundary() {
         WorkloadKind::Educational,
         WorkloadKind::SciEng,
     ];
-    let study = |config: CpuConfig| {
-        CompositeStudy::new(4_000)
-            .with_kinds(&kinds)
-            .warmup(1_000)
-            .cpu_config(config)
-    };
-    let reference = study(CpuConfig::default()).run_supervised();
+    let reference = CompositeStudy::new(4_000)
+        .with_kinds(&kinds)
+        .warmup(1_000)
+        .run_supervised();
     assert!(reference.is_complete(), "reference campaign must complete");
+    let specs: Vec<JobSpec> = kinds
+        .iter()
+        .map(|&kind| {
+            let mut spec = JobSpec::new(kind);
+            spec.instructions = 4_000;
+            spec.warmup = 1_000;
+            spec
+        })
+        .collect();
 
     let dir = std::env::temp_dir().join("vax-perf-equiv-ckpt");
     let _ = std::fs::remove_dir_all(&dir);
@@ -235,26 +282,18 @@ fn checkpoint_resume_crosses_loop_boundary() {
             "default->naive",
         ),
     ] {
-        let path = dir.join(format!("{}.ckpt", label.replace("->", "-")));
-        {
-            // Run one job, then "crash" (halt_after is the deterministic
-            // stand-in for a mid-campaign kill).
-            let mut cp = Checkpoint::open(&path, 4_000, 1_000).unwrap();
-            let halted = study(first).run_checkpointed(&mut cp, Some(1)).unwrap();
-            assert_eq!(
-                halted.results.len(),
-                1,
-                "{label}: one fresh job before halt"
-            );
-            assert_eq!(halted.pending.len(), 2, "{label}: two jobs left pending");
-        }
-        // Reopen from disk (the process that wrote it is gone) and
-        // finish the campaign under the *other* loop.
-        let mut cp = Checkpoint::open(&path, 4_000, 1_000).unwrap();
-        let resumed = study(second).run_checkpointed(&mut cp, None).unwrap();
-        assert!(resumed.is_complete(), "{label}: resumed campaign completes");
-        assert_eq!(resumed.resumed, 1, "{label}: one job restored from disk");
-        assert_same_measurements(label, &reference.results, &resumed.results);
+        let path = dir.join(format!("{}.journal", label.replace("->", "-")));
+        // One job settles under the first loop before the "crash"; the
+        // reopened journal finishes the rest under the other loop.
+        let mut ids = settle_under(&path, &specs[..1], first);
+        ids.extend(settle_under(&path, &specs[1..], second));
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.counts(), (0, 3, 0), "{label}: all settled");
+        let resumed: Vec<MeasuredWorkload> = ids
+            .iter()
+            .map(|&id| journal.measurement(id).unwrap().expect("settled as done"))
+            .collect();
+        assert_same_measurements(label, &reference.results, &resumed);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
