@@ -139,13 +139,13 @@ grep -q '^meta cpu-model ' "$CKPT_DIR/probe-tables.txt"
 grep -q '^end$' "$CKPT_DIR/probe-tables.txt"
 
 # Simulator benchmark gate (the host-loop trajectory): run the naive
-# byte-by-byte loop against the default loop and fail on ANY instrument
+# reference loop against the default loop and fail on ANY instrument
 # divergence between them: bit-identical histograms, hardware counters,
 # and trace streams, plus proof that the default loop actually engaged
-# (predecode hits, continued instructions), or nonzero exit. Sizes are
-# pinned smaller than the committed BENCH_16.json (which is regenerated
-# at the default spec) so the gate stays fast; the equivalence
-# machinery exercised is identical.
+# (continued instructions), or nonzero exit. Sizes are pinned smaller
+# than the committed BENCH_19.json (which is regenerated at the default
+# spec) so the gate stays fast; the equivalence machinery exercised is
+# identical.
 cargo run --release -- bench --instructions 200000 --trace-instructions 10000 \
     --warmup 10000 --repeat 2 --json "$CKPT_DIR/BENCH_ci.json"
 
@@ -156,3 +156,15 @@ if cargo run --release -- bench --tier warp > /dev/null 2>&1; then
     echo "bench accepted an unknown option" >&2
     exit 1
 fi
+
+# Repository-benchmark correctness gate: hostbench (its own workspace,
+# not built by the steps above) must still build against the library
+# crates' public API and reproduce its pinned per-job digests
+# (hostbench/pinned.txt). A one-second run of each benchmarked workload
+# checks both; hostbench exits 1 on a wrong simulated output, and the
+# last line of its output must report "correct": true.
+for W in characterize campaign; do
+    cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- \
+        --workload "$W" --seed 1 --seconds 1 --trace 0 > "$CKPT_DIR/hostbench-$W.txt"
+    tail -n 1 "$CKPT_DIR/hostbench-$W.txt" | grep -q '"correct": true'
+done

@@ -37,9 +37,6 @@ pub struct CpuConfig {
     pub patch_abort_period: u32,
     /// Use the host fast paths, all default-on and all host-side only:
     ///
-    /// * the predecode cache: parse each static instruction once and
-    ///   replay the decoded form on re-execution, charging the identical
-    ///   IB/decode cycles;
     /// * sink batching: coalesce consecutive same-µPC issues into one
     ///   batched histogram call and skip prefetcher ticks that provably
     ///   mutate nothing;
@@ -54,7 +51,7 @@ pub struct CpuConfig {
     /// None has a simulated effect: histograms, hardware counters, and
     /// trace streams are bit-identical to the naive loop
     /// (`tests/perf_equivalence.rs` proves it; `vax780 bench` measures
-    /// the speedup). `false` selects the naive byte-by-byte, per-cycle,
+    /// the speedup). `false` selects the naive per-cycle,
     /// one-instruction-per-step loop, kept as the executable reference.
     pub fast_paths: bool,
 }
@@ -84,9 +81,8 @@ impl CpuConfig {
         }
     }
 
-    /// The naive reference loop: byte-by-byte decode on every dynamic
-    /// execution, per-cycle sink calls, full TB scans, and one
-    /// instruction per step. This is the pre-optimization interpreter,
+    /// The naive reference loop: per-cycle sink calls and prefetcher
+    /// ticks, full TB scans, and one instruction per step. This is the pre-optimization interpreter,
     /// kept as the executable reference; `vax780 bench` and the
     /// equivalence suite compare against it.
     pub fn naive_loop() -> CpuConfig {

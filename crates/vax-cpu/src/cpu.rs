@@ -6,7 +6,6 @@ use crate::exec;
 use crate::fault::{CpuError, Fault};
 use crate::ib::InstructionBuffer;
 use crate::interrupt::{Interrupt, InterruptLines};
-use crate::predecode::{PdOp, PredecodeCache, PredecodedInst};
 use crate::psl::{Mode, Psl};
 use crate::regs::RegFile;
 use crate::specifier;
@@ -72,6 +71,18 @@ pub struct BlockStats {
     pub replayed: u64,
 }
 
+/// Predecode-cache counts. There is no predecode cache — every
+/// instruction is parsed from the IB — so both are always zero. Kept
+/// only because hostbench reads them (its `cpu.predecode_hit_ratio`
+/// now reads 0).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredecodeStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub misses: u64,
+}
+
 /// The VAX-11/780 processor model.
 pub struct Cpu {
     pub(crate) regs: RegFile,
@@ -89,8 +100,6 @@ pub struct Cpu {
     /// System control block base (physical).
     pub(crate) scbb: u32,
     pub(crate) insn_count: u64,
-    /// Host-side predecode cache (empty when `config.fast_paths` is off).
-    predecode: PredecodeCache,
     /// Host-side continuation-loop counters.
     block_stats: BlockStats,
     /// Earliest cycle at which an external event source (machine timer,
@@ -132,7 +141,6 @@ impl Cpu {
             pcbb: 0,
             scbb: 0,
             insn_count: 0,
-            predecode: PredecodeCache::new(config.fast_paths),
             block_stats: BlockStats::default(),
             event_horizon: u64::MAX,
         }
@@ -155,10 +163,10 @@ impl Cpu {
         &self.cs
     }
 
-    /// Predecode-cache hit/miss/insert counts (host-side diagnostics;
-    /// all zero in the naive loop).
-    pub fn predecode_stats(&self) -> crate::predecode::PredecodeStats {
-        self.predecode.stats()
+    /// All-zero predecode counts (see [`PredecodeStats`]). Kept only for
+    /// hostbench; nothing else may call it.
+    pub fn predecode_stats(&self) -> PredecodeStats {
+        PredecodeStats::default()
     }
 
     /// Continuation-loop counts (host-side diagnostics; zero in the
@@ -632,40 +640,6 @@ impl Cpu {
         }
     }
 
-    /// Skip `n` instruction bytes whose values are already known from
-    /// the predecode cache. Cycle-for-cycle equivalent to `n` calls of
-    /// [`Cpu::ib_take_byte`]: available bytes are discarded in bulk at
-    /// zero simulated cost, and starvation stalls / I-stream TB misses
-    /// are handled at the identical points with the identical cycles.
-    pub(crate) fn ib_skip_bytes<S: CycleSink>(
-        &mut self,
-        n: usize,
-        point: StallPoint,
-        sink: &mut S,
-    ) -> Result<(), Fault> {
-        let mut left = n;
-        loop {
-            let k = self.ib.skip_bytes(left);
-            if k > 0 {
-                self.regs.set_pc(self.regs.pc().wrapping_add(k as u32));
-                left -= k;
-            }
-            if left == 0 {
-                return Ok(());
-            }
-            if let Some(va) = self.ib.tb_miss() {
-                self.tb_microtrap(va, MemStream::IFetch, sink)?;
-                self.ib.clear_tb_miss();
-                continue;
-            }
-            sink.trace_event(MachineEvent::Stall {
-                cause: StallCause::Ib(point),
-                cycles: 1,
-            });
-            self.micro_compute(self.cs.ib_stall(point), sink);
-        }
-    }
-
     /// Flush the IB for an execution redirect (taken branch, interrupt,
     /// exception). A flagged-but-unserviced I-stream TB miss is reported
     /// to the sink before it is discarded: the hardware monitor counted
@@ -791,18 +765,6 @@ impl Cpu {
 
     fn execute_one<S: CycleSink>(&mut self, sink: &mut S) -> Result<Opcode, ExecStop> {
         let pc_at_start = self.regs.pc();
-        // Predecode fast path: replay the cached parse of this static
-        // instruction. Bit-identical to the parse path below — same bytes
-        // consumed, same microinstructions issued, same evaluation code.
-        if self.config.fast_paths {
-            let space = self.code_space_tag(pc_at_start);
-            if let Some(idx) = self
-                .predecode
-                .lookup(pc_at_start, space, self.mem.decode_gen())
-            {
-                return self.execute_predecoded(idx, pc_at_start, sink);
-            }
-        }
         let opbyte = self
             .ib_take_byte(StallPoint::Decode, sink)
             .map_err(ExecStop::Fault)?;
@@ -817,24 +779,20 @@ impl Cpu {
             self.micro_compute(self.cs.ird1(), sink);
         }
         self.patch_abort_cycle(sink);
-        // Specifier processing, recording each parse for the predecode
-        // cache as we go.
-        let mut rec = PredecodedInst::new(opcode);
+        // Specifier processing.
         let mut ops = specifier::EvalOps::new();
         let mut branch_disp: Option<i32> = None;
         for (i, template) in opcode.operands().iter().enumerate() {
             if template.is_branch_displacement() {
-                let (disp, bytes) = match template.data_type() {
-                    DataType::Byte => (
+                let disp = match template.data_type() {
+                    DataType::Byte => {
                         self.ib_take_byte(StallPoint::BranchDisp, sink)
-                            .map_err(ExecStop::Fault)? as i8 as i32,
-                        1u8,
-                    ),
-                    DataType::Word => (
+                            .map_err(ExecStop::Fault)? as i8 as i32
+                    }
+                    DataType::Word => {
                         self.ib_take_u16(StallPoint::BranchDisp, sink)
-                            .map_err(ExecStop::Fault)? as i16 as i32,
-                        2u8,
-                    ),
+                            .map_err(ExecStop::Fault)? as i16 as i32
+                    }
                     other => unreachable!("displacement of type {other}"),
                 };
                 // The displacement bytes are consumed here (IB stalls land
@@ -842,21 +800,12 @@ impl Cpu {
                 // cycle is spent only if the branch is taken — §5: "the
                 // branch displacement need not be computed when the
                 // instruction does not branch".
-                rec.push(PdOp::Branch { disp, bytes });
                 branch_disp = Some(disp);
             } else {
-                let (op, dec) =
+                let op =
                     specifier::eval_specifier(self, i, *template, sink).map_err(ExecStop::Fault)?;
-                rec.push(PdOp::Spec(dec));
                 ops.push(op);
             }
-        }
-        // All operands parsed cleanly: cache the parse. (Execute-phase
-        // faults don't invalidate a parse; instructions whose *parse*
-        // faults never reach here and stay on this path, preserving
-        // their exact fault payloads.)
-        if self.config.fast_paths {
-            self.insert_predecode(pc_at_start, rec);
         }
         // Execute phase.
         let specifiers = (ops.len() + usize::from(branch_disp.is_some())) as u8;
@@ -867,96 +816,6 @@ impl Cpu {
             specifiers,
         });
         Ok(opcode)
-    }
-
-    /// Replay a predecode-cache hit: consume the same I-stream bytes and
-    /// issue the same microinstructions as the parse path, evaluating
-    /// operands through the shared `eval_decoded` code. `idx` is the
-    /// cache slot from `PredecodeCache::lookup`, read in place per
-    /// operand: nothing inserts into the cache during a replay, so the
-    /// slot cannot be overwritten under us.
-    fn execute_predecoded<S: CycleSink>(
-        &mut self,
-        idx: usize,
-        pc_at_start: u32,
-        sink: &mut S,
-    ) -> Result<Opcode, ExecStop> {
-        let (opcode, nops) = self.predecode.header_at(idx);
-        self.ib_skip_bytes(1, StallPoint::Decode, sink)
-            .map_err(ExecStop::Fault)?; // the opcode byte
-        sink.trace_event(MachineEvent::Decode { opcode });
-        if !self.config.decode_overlap || opcode.is_pc_changing() {
-            self.micro_compute(self.cs.ird1(), sink);
-        }
-        self.patch_abort_cycle(sink);
-        let mut ops = specifier::EvalOps::new();
-        let mut branch_disp: Option<i32> = None;
-        for i in 0..usize::from(nops) {
-            match self.predecode.op_at(idx, i) {
-                PdOp::Branch { disp, bytes } => {
-                    self.ib_skip_bytes(usize::from(bytes), StallPoint::BranchDisp, sink)
-                        .map_err(ExecStop::Fault)?;
-                    branch_disp = Some(disp);
-                }
-                PdOp::Spec(dec) => {
-                    let op =
-                        specifier::eval_predecoded(self, i, &dec, sink).map_err(ExecStop::Fault)?;
-                    ops.push(op);
-                }
-            }
-        }
-        let specifiers = (ops.len() + usize::from(branch_disp.is_some())) as u8;
-        exec::execute(self, opcode, &ops, branch_disp, sink)?;
-        sink.trace_event(MachineEvent::Retire {
-            opcode,
-            pc: pc_at_start,
-            specifiers,
-        });
-        Ok(opcode)
-    }
-
-    /// Cache the parse of the instruction spanning `[pc, regs.pc())`,
-    /// flagging every physical code page it touches so simulated writes
-    /// there invalidate the cache. If any page fails to resolve (it was
-    /// just fetched, so this cannot normally happen), skip the insert —
-    /// staying on the parse path is always safe.
-    fn insert_predecode(&mut self, pc: u32, inst: PredecodedInst) {
-        let end = self.regs.pc();
-        if end <= pc {
-            return; // PC wrapped mid-instruction: not worth caching.
-        }
-        // Flag exactly the bytes the instruction occupies, page by page
-        // (the range is virtually contiguous but not physically).
-        let mut va = pc;
-        while va < end {
-            let page_end = (va & !(vax_mem::PAGE_BYTES - 1)).wrapping_add(vax_mem::PAGE_BYTES);
-            let chunk_end = if page_end == 0 {
-                end
-            } else {
-                page_end.min(end)
-            };
-            match self.mem.resolve_va(va) {
-                Some(pa) => self.mem.note_code_bytes(pa, chunk_end - va),
-                None => return,
-            }
-            va = chunk_end;
-        }
-        let space = self.code_space_tag(pc);
-        self.predecode
-            .insert(pc, space, self.mem.decode_gen(), inst);
-    }
-
-    /// The predecode address-space tag for code at `pc`: system-space
-    /// code (S0/S1, top VA bit set) is mapped identically for every
-    /// process and shares tag 0; process-space code is tagged with the
-    /// owning space's identity so entries survive context switches.
-    #[inline]
-    fn code_space_tag(&self, pc: u32) -> u64 {
-        if pc & 0x8000_0000 != 0 {
-            0
-        } else {
-            self.mem.space_tag()
-        }
     }
 
     /// Microcode-patch abort cycles (§5: "one for each microcode patch")

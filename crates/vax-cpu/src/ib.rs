@@ -127,21 +127,6 @@ impl InstructionBuffer {
         Some(b)
     }
 
-    /// Discard up to `n` buffered bytes in one step, returning how many
-    /// were consumed. Timing-equivalent to that many [`take_byte`]
-    /// calls: consuming an available byte costs no cycles, so only the
-    /// count left when the buffer runs dry is observable.
-    ///
-    /// [`take_byte`]: InstructionBuffer::take_byte
-    #[inline]
-    pub fn skip_bytes(&mut self, n: usize) -> usize {
-        let k = n.min(self.len);
-        // k == 8 would shift by the full width; `buf = 0` is the intent.
-        self.buf = if k < IB_BYTES { self.buf >> (8 * k) } else { 0 };
-        self.len -= k;
-        k
-    }
-
     /// Append `take` bytes of `data` (starting at byte `offset`) behind
     /// the buffered ones.
     #[inline]

@@ -37,17 +37,15 @@ mod ib;
 mod interrupt;
 mod ipr;
 mod operand;
-mod predecode;
 mod psl;
 mod regs;
 mod specifier;
 
 pub use config::CpuConfig;
 pub use cpu::scb;
-pub use cpu::{BlockStats, Cpu, RunOutcome, StepOutcome};
+pub use cpu::{BlockStats, Cpu, PredecodeStats, RunOutcome, StepOutcome};
 pub use fault::{CpuError, Fault};
 pub use interrupt::Interrupt;
 pub use ipr::IprReg;
-pub use predecode::PredecodeStats;
 pub use psl::{Mode, Psl};
 pub use regs::RegFile;

@@ -131,37 +131,6 @@ fn read_reg_value(cpu: &Cpu, reg: Reg, dtype: DataType) -> u64 {
     }
 }
 
-/// The parsed (but not yet evaluated) form of one operand specifier:
-/// everything the I-stream said, with the extension bytes already
-/// assembled. This is what the predecode cache stores per operand — on
-/// replay, [`eval_predecoded`] consumes the same I-stream bytes and
-/// issues the same microinstructions without re-parsing them.
-///
-/// Evaluation state (register contents, memory, PC) is deliberately
-/// *not* captured: [`eval_decoded`] re-reads all of it on every
-/// execution, which is what makes the replay path behave identically.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SpecDecode {
-    /// Pre-assembled extension: the expanded short literal, the
-    /// immediate data, the sign-extended displacement (as `u32 as u64`),
-    /// or the absolute address. 0 for extension-less modes.
-    pub ext: u64,
-    /// How many I-stream bytes the extension occupied (0, 1, 2, 4, 8).
-    pub ext_bytes: u8,
-    /// Table 4 mode class.
-    pub class: SpecModeClass,
-    /// The base register named by the mode byte.
-    pub reg: Reg,
-    /// The index register, when an index prefix byte was present.
-    pub index_reg: Option<Reg>,
-    /// The raw mode byte (fault payloads quote it).
-    pub mode_byte: u8,
-    /// The operand's data type (from the opcode's operand template).
-    pub dtype: DataType,
-    /// The operand's access type (from the opcode's operand template).
-    pub access: AccessType,
-}
-
 #[inline]
 fn pos_of(index: usize) -> SpecPosition {
     if index == 0 {
@@ -180,15 +149,15 @@ fn point_of(index: usize) -> StallPoint {
     }
 }
 
-/// Evaluate the `index`-th operand specifier of the current instruction
-/// by parsing it from the IB. Returns the evaluated operand plus its
-/// [`SpecDecode`] so the caller can predecode-cache the parse.
+/// Evaluate the `index`-th operand specifier of the current instruction:
+/// parse it from the IB, then calculate its address, fetch the operand
+/// and apply any autoincrement side effect.
 pub(crate) fn eval_specifier<S: CycleSink>(
     cpu: &mut Cpu,
     index: usize,
     template: OperandTemplate,
     sink: &mut S,
-) -> Result<(EvalOp, SpecDecode), Fault> {
+) -> Result<EvalOp, Fault> {
     let pos = pos_of(index);
     let point = point_of(index);
     let access = template.access();
@@ -205,88 +174,31 @@ pub(crate) fn eval_specifier<S: CycleSink>(
     let class = classify(mode_byte, reg);
     cpu.micro_compute(cpu.cs.spec_entry(pos, class), sink);
 
-    // Consume and assemble the extension. Every mode that has one takes
-    // its bytes here — immediately after the entry cycle — so the replay
-    // path can skip the same bytes at the same point.
-    let (ext, ext_bytes): (u64, u8) = match class {
-        SpecModeClass::ShortLiteral => (expand_literal(mode_byte & 0x3F, dtype), 0),
+    // Consume and assemble the extension, immediately after the entry
+    // cycle: the expanded short literal, the immediate data, the
+    // sign-extended displacement (as `u32 as u64`), or the absolute
+    // address. 0 for extension-less modes.
+    let ext: u64 = match class {
+        SpecModeClass::ShortLiteral => expand_literal(mode_byte & 0x3F, dtype),
         SpecModeClass::Immediate => {
-            let n = dtype.size_bytes();
             let mut data = 0u64;
-            for i in 0..n {
+            for i in 0..dtype.size_bytes() {
                 data |= u64::from(cpu.ib_take_byte(point, sink)?) << (8 * i);
             }
-            (data, n as u8)
+            data
         }
         SpecModeClass::Displacement | SpecModeClass::DisplacementDeferred => match mode_byte >> 4 {
-            0xA | 0xB => (
-                u64::from(cpu.ib_take_byte(point, sink)? as i8 as i32 as u32),
-                1,
-            ),
-            0xC | 0xD => (
-                u64::from(cpu.ib_take_u16(point, sink)? as i16 as i32 as u32),
-                2,
-            ),
-            _ => (u64::from(cpu.ib_take_u32(point, sink)?), 4),
+            0xA | 0xB => u64::from(cpu.ib_take_byte(point, sink)? as i8 as i32 as u32),
+            0xC | 0xD => u64::from(cpu.ib_take_u16(point, sink)? as i16 as i32 as u32),
+            _ => u64::from(cpu.ib_take_u32(point, sink)?),
         },
-        SpecModeClass::Absolute => (u64::from(cpu.ib_take_u32(point, sink)?), 4),
-        _ => (0, 0),
+        SpecModeClass::Absolute => u64::from(cpu.ib_take_u32(point, sink)?),
+        _ => 0,
     };
-    let dec = SpecDecode {
-        ext,
-        ext_bytes,
-        class,
-        reg,
-        index_reg,
-        mode_byte,
-        dtype,
-        access,
-    };
-    let eop = eval_decoded(cpu, pos, &dec, sink)?;
-    Ok((eop, dec))
-}
 
-/// Replay a predecoded specifier: consume the same I-stream bytes (so IB
-/// starvation and I-stream TB misses land on the same cycles) and issue
-/// the same microinstructions as [`eval_specifier`], then evaluate via
-/// the shared [`eval_decoded`].
-pub(crate) fn eval_predecoded<S: CycleSink>(
-    cpu: &mut Cpu,
-    index: usize,
-    dec: &SpecDecode,
-    sink: &mut S,
-) -> Result<EvalOp, Fault> {
-    let pos = pos_of(index);
-    let point = point_of(index);
-    cpu.ib_skip_bytes(1, point, sink)?; // mode byte
-    if dec.index_reg.is_some() {
-        cpu.micro_compute(cpu.cs.spec_index(pos), sink);
-        cpu.ib_skip_bytes(1, point, sink)?; // second mode byte
-    }
-    cpu.micro_compute(cpu.cs.spec_entry(pos, dec.class), sink);
-    if dec.ext_bytes > 0 {
-        cpu.ib_skip_bytes(usize::from(dec.ext_bytes), point, sink)?;
-    }
-    eval_decoded(cpu, pos, dec, sink)
-}
-
-/// Evaluate a parsed specifier: address calculation, operand fetch,
-/// autoincrement side effects. Shared by the parse path and the replay
-/// path — all machine-visible work after extension consumption lives
-/// here, which is what makes the two paths structurally identical.
-fn eval_decoded<S: CycleSink>(
-    cpu: &mut Cpu,
-    pos: SpecPosition,
-    dec: &SpecDecode,
-    sink: &mut S,
-) -> Result<EvalOp, Fault> {
-    let class = dec.class;
-    let dtype = dec.dtype;
-    let access = dec.access;
-    let reg = dec.reg;
     let op = match class {
         // Extension value already assembled (literal expansion included).
-        SpecModeClass::ShortLiteral | SpecModeClass::Immediate => Operand::value(dec.ext),
+        SpecModeClass::ShortLiteral | SpecModeClass::Immediate => Operand::value(ext),
         SpecModeClass::Register => {
             let value = if access.reads_value() {
                 read_reg_value(cpu, reg, dtype)
@@ -319,21 +231,21 @@ fn eval_decoded<S: CycleSink>(
                     // folded into the entry cycle); wider extensions cost
                     // an extra cycle. Base register read after the
                     // extension, so PC-relative modes see the updated PC.
-                    let wide = dec.ext_bytes != 1;
+                    let wide = !matches!(mode_byte >> 4, 0xA | 0xB);
                     if wide || class == SpecModeClass::DisplacementDeferred {
                         cpu.micro_compute(cpu.cs.spec_compute(pos, class), sink);
                     }
-                    let base = cpu.regs.get(reg).wrapping_add(dec.ext as u32);
+                    let base = cpu.regs.get(reg).wrapping_add(ext as u32);
                     if class == SpecModeClass::DisplacementDeferred {
                         cpu.read_data(cpu.cs.spec_read(pos, class), base, Width::Long, sink)?
                     } else {
                         base
                     }
                 }
-                SpecModeClass::Absolute => dec.ext as u32,
+                SpecModeClass::Absolute => ext as u32,
                 _ => unreachable!("value modes handled above"),
             };
-            let addr = if let Some(rx) = dec.index_reg {
+            let addr = if let Some(rx) = index_reg {
                 cpu.micro_compute(cpu.cs.spec_compute(pos, class), sink);
                 addr.wrapping_add(cpu.regs.get(rx).wrapping_mul(dtype.size_bytes()))
             } else {
@@ -357,9 +269,7 @@ fn eval_decoded<S: CycleSink>(
     // for variable bit fields. (The assembler enforces this; decoding raw
     // bytes could violate it, which a real VAX faults on.)
     if access == AccessType::Address && !matches!(op.loc, Loc::Mem(_)) {
-        return Err(Fault::ReservedInstruction {
-            opcode: dec.mode_byte,
-        });
+        return Err(Fault::ReservedInstruction { opcode: mode_byte });
     }
     Ok(EvalOp {
         op,

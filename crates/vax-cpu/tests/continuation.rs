@@ -107,16 +107,16 @@ fn continuation_never_overshoots_an_instruction_budget() {
 }
 
 /// Self-modifying code where the patcher and the patched instruction
-/// run inside the *same* continuation run: the store bumps `decode_gen`,
-/// so the next predecode lookup misses and the re-parsed victim
-/// observes the new bytes.
+/// run inside the *same* continuation run. Every execution parses its
+/// instruction from the IB, so what the victim sees is decided by the
+/// bytes the IB had already prefetched when the store landed — the same
+/// under both loops.
 ///
 /// The loop writes `R4` through `(R6)` and then loads an immediate into
-/// `R2`. For the first three iterations `R6` aims at scratch memory and
-/// the cached parses replay intact; after the third, `R6` is re-aimed
-/// at the immediate's low byte, so every later iteration's first
-/// instruction rewrites an instruction *later in its own run*. A replay
-/// that ignored the generation bump would keep serving `#0x11`.
+/// `R2`. For the first three iterations `R6` aims at scratch memory;
+/// after the third, `R6` is re-aimed at the immediate's low byte, so
+/// every later iteration's first instruction rewrites an instruction
+/// *later in its own run*.
 ///
 /// Built in two passes because the patch address (`MOVL` immediate + 2)
 /// is only known once the prefix is assembled; operand encodings are
@@ -186,13 +186,13 @@ fn store_into_the_running_loop_is_observed() {
     // when the patcher executes, so each patch lands one iteration late
     // (faithful VAX-11/780 behavior — the reference loop agrees):
     // iterations 1–4 load #0x11 (4 × 17 = 68), iterations 5–6 load the
-    // patched bytes 3 and 4. A replay that ignored the generation bump
-    // entirely would keep serving #0x11 and end with R5 = 102.
+    // patched bytes 3 and 4. Never observing the patches would end
+    // with R5 = 102.
     assert_eq!(default.r_low[2], 4, "R2: last patched immediate");
     assert_eq!(default.r_low[3], 6, "R3: iteration count");
     assert_eq!(default.r_low[5], 75, "R5: sum over patched immediates");
     assert!(
         default.continued > 0,
-        "patcher and victim never ran in one continuation — guard not exercised"
+        "patcher and victim never ran in one continuation — same-run patch not exercised"
     );
 }

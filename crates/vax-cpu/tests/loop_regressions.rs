@@ -6,10 +6,9 @@
 //! * `service_interrupt` computed the PSL push address as `sp + 4`
 //!   without wrapping, which overflows (a debug-build panic) when the
 //!   stack pointer sits within 8 bytes of zero;
-//! * (pinning, audited not-a-bug) a write into only the *tail* bytes of
-//!   a predecoded instruction that straddles a 64-byte invalidation
-//!   block must still bump `decode_gen` — `note_code_bytes` flags every
-//!   block the instruction touches, and this test keeps it that way.
+//! * (pinning) a write into only the *tail* bytes of an instruction
+//!   that straddles a 64-byte block is observed by its next execution,
+//!   identically under both loops.
 
 use upc_monitor::{Command, Histogram, HistogramBoard, NullSink};
 use vax_arch::{Assembler, Opcode, Operand, Reg};
@@ -81,17 +80,19 @@ fn patch_abort_fires_once_per_period() {
 }
 
 /// Self-modifying code whose target instruction straddles a 64-byte
-/// invalidation block, patched through its *tail* bytes only.
+/// block, patched through its *tail* bytes only.
 ///
 /// The image pads with `NOP`s so a `MOVL #imm32, R0` starts at VA
 /// `0x43B`: its opcode and first three immediate bytes sit in the
 /// 64-byte block `[0x400, 0x440)` while the last immediate byte (the
 /// value's high byte, at `0x440`) and the register byte spill into the
-/// next block. The loop executes the `MOVL` (predecoding it), saves the
-/// loaded value, writes `0x99` into `0x440` — tail bytes only — and
-/// re-executes the `MOVL`, which must observe the patched immediate.
-/// If only the head block were flagged, the replay path would serve the
-/// stale parse and `R0` would still read `0x1122_3344`.
+/// next block. The loop executes the `MOVL`, saves the loaded value,
+/// writes `0x99` into `0x440` — tail bytes only — and branches back to
+/// the `MOVL`, which must observe the patched immediate. Every
+/// execution parses its instruction from the IB, and the taken branch
+/// flushes the IB, so the re-execution refetches the patched bytes; the
+/// default loop must agree with the naive loop on registers, cycles and
+/// histogram.
 fn straddling_smc_image() -> vax_arch::CodeImage {
     let mut asm = Assembler::new(0x400);
     for _ in 0..0x3B {

@@ -51,6 +51,6 @@ pub use phys::PhysMem;
 pub use sbi::Sbi;
 pub use subsystem::{
     IFetchOutcome, MemFault, MemorySubsystem, ReadOutcome, Stream, TbFill, TbMiss, Width,
-    WriteOutcome, CODE_BLOCK_BYTES,
+    WriteOutcome,
 };
 pub use tb::{Tb, TbHalf};

@@ -116,9 +116,6 @@ pub struct TbMiss {
     pub half: TbHalf,
 }
 
-/// Granularity of the predecode write-invalidation bitmap.
-pub const CODE_BLOCK_BYTES: usize = 64;
-
 /// The full memory subsystem of Figure 1.
 #[derive(Debug)]
 pub struct MemorySubsystem {
@@ -141,14 +138,6 @@ pub struct MemorySubsystem {
     /// Fault-injection hook (None on the happy path; installing one is
     /// how `vax780 inject` perturbs the machine).
     fault_hook: Option<Box<dyn FaultHook>>,
-    /// Generation stamp for host-side predecode caches layered above this
-    /// subsystem (see `vax_cpu`). Bumped whenever previously decoded
-    /// instruction bytes could be stale: a simulated write into a
-    /// physical page flagged as holding predecoded code. (Address-space
-    /// switches don't bump it — predecode entries are tagged with
-    /// [`MemorySubsystem::space_tag`] instead.) Starts at 1 so 0 can
-    /// serve as a never-valid sentinel.
-    decode_gen: u64,
     /// One-entry translation shortcut (same argument as the IB
     /// prefetcher's): the page and frame base of the last successful
     /// [`MemorySubsystem::translate`], valid while the TB generation is
@@ -161,13 +150,6 @@ pub struct MemorySubsystem {
     /// suite compares against (see `CpuConfig::fast_paths` in
     /// `vax_cpu`).
     shortcuts: bool,
-    /// Bitmap over 64-byte physical blocks currently holding predecoded
-    /// instruction bytes. Block granularity matters: workload images
-    /// commonly keep writable data on the same page as code, and
-    /// page-granular flagging would turn every such store into a full
-    /// predecode flush. Cleared on every generation bump: the bump
-    /// invalidates all cached decode, so the flagged set restarts empty.
-    code_blocks: Vec<u64>,
 }
 
 impl MemorySubsystem {
@@ -185,12 +167,10 @@ impl MemorySubsystem {
             counters: HwCounters::new(),
             last_fill_reads: (None, None),
             fault_hook: None,
-            decode_gen: 1,
             t_page: 0,
             t_frame: 0,
             t_gen: 0,
             shortcuts: true,
-            code_blocks: vec![0; (config.phys_bytes as usize).div_ceil(CODE_BLOCK_BYTES * 64)],
             config,
         }
     }
@@ -230,95 +210,9 @@ impl MemorySubsystem {
 
     /// Switch the current process address space (`LDPCTX`): installs the
     /// new base/length registers and flushes the process half of the TB.
-    /// Predecode state keyed by [`space_tag`] needs no flush here: the
-    /// outgoing space's entries go dormant behind their tag.
-    ///
-    /// [`space_tag`]: MemorySubsystem::space_tag
     pub fn switch_address_space(&mut self, space: AddressSpace) {
         self.space = space;
         self.tb.flush_process();
-    }
-
-    // ----- predecode invalidation protocol ---------------------------------
-
-    /// The current predecode generation. A host-side predecode cache
-    /// stamps each entry with the generation at insert time and treats
-    /// any entry with a stale stamp as a miss.
-    #[inline]
-    pub fn decode_gen(&self) -> u64 {
-        self.decode_gen
-    }
-
-    /// Identity of the current process address space: the P0/P1
-    /// page-table bases, which are distinct per process (each process's
-    /// page tables live at their own system VAs). Predecode caches tag
-    /// process-space entries with this value so entries survive context
-    /// switches; system-space code, mapped identically for every
-    /// process, should use the shared tag 0 instead.
-    #[inline]
-    pub fn space_tag(&self) -> u64 {
-        (u64::from(self.space.p0br) << 32) | u64::from(self.space.p1br)
-    }
-
-    /// Flag the 64-byte physical blocks covering `[pa, pa + len)` as
-    /// containing predecoded instruction bytes, so a later simulated
-    /// write into them bumps the generation (self-modifying code cannot
-    /// outrun the cache).
-    pub fn note_code_bytes(&mut self, pa: u32, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let first = (pa as usize) / CODE_BLOCK_BYTES;
-        let last = (pa as usize + len as usize - 1) / CODE_BLOCK_BYTES;
-        for block in first..=last {
-            if let Some(word) = self.code_blocks.get_mut(block / 64) {
-                *word |= 1 << (block % 64);
-            }
-        }
-    }
-
-    /// Is *every* 64-byte block covering `[pa, pa + len)` flagged as
-    /// holding predecoded bytes? This is the invariant the
-    /// write-invalidation protocol depends on for instructions that
-    /// straddle a block boundary: a write into only the tail bytes must
-    /// still bump the generation, so the tail block must be flagged,
-    /// not just the head. Exposed so the predecode layers (and their
-    /// regression tests) can audit the flagging rather than trust it.
-    pub fn code_bytes_flagged(&self, pa: u32, len: u32) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let first = (pa as usize) / CODE_BLOCK_BYTES;
-        let last = (pa as usize + len as usize - 1) / CODE_BLOCK_BYTES;
-        (first..=last).all(|block| {
-            self.code_blocks
-                .get(block / 64)
-                .is_some_and(|word| word & (1 << (block % 64)) != 0)
-        })
-    }
-
-    #[inline]
-    fn code_block_flagged(&self, pa: u32) -> bool {
-        // Writes are width-aligned within one longword, so a single
-        // reference can never straddle a block boundary.
-        let block = (pa as usize) / CODE_BLOCK_BYTES;
-        self.code_blocks
-            .get(block / 64)
-            .is_some_and(|word| word & (1 << (block % 64)) != 0)
-    }
-
-    /// Invalidate all predecode state above this subsystem: bump the
-    /// generation and forget the flagged pages (re-inserts re-flag).
-    fn invalidate_predecode(&mut self) {
-        self.decode_gen += 1;
-        self.code_blocks.fill(0);
-    }
-
-    /// Software page-table walk with no cache/TB/timing/counter effects:
-    /// the physical address `va` resolves to, if mapped. Predecode
-    /// caches use it to flag code pages at insert time.
-    pub fn resolve_va(&self, va: u32) -> Option<u32> {
-        paging::resolve_va(&self.phys, &self.system, &self.space, va)
     }
 
     /// TB content generation: bumped by every insert and flush. A cached
@@ -517,11 +411,6 @@ impl MemorySubsystem {
             (pa & 3) + width.bytes() <= 4,
             "CPU must split longword-crossing writes"
         );
-        // A store into a block holding predecoded code invalidates the
-        // predecode layer (cheap bitmap probe on the common path).
-        if self.code_block_flagged(pa) {
-            self.invalidate_predecode();
-        }
         // Retire completed drains, then stall only if every buffer entry
         // is still occupied (the 11/780 has exactly one).
         self.wbuf.retain(|&done| done > now);
@@ -774,40 +663,6 @@ mod tests {
         let again = mem.read(pa, Width::Long, 40);
         assert!(!again.miss);
         assert_eq!(again.stall, 0);
-    }
-
-    #[test]
-    fn straddling_code_bytes_flag_every_block_they_touch() {
-        // Satellite audit (ISSUE 7): an instruction whose bytes straddle
-        // a 64-byte block boundary must flag BOTH blocks, so a write
-        // into only its tail bytes still bumps `decode_gen`.
-        let mut mem = machine();
-        mem.tb_fill(0x1000, 0).unwrap();
-        let pa = mem.translate(0x1000, Stream::Data).unwrap();
-        // A 7-byte "instruction" whose last 3 bytes spill into the next
-        // 64-byte block.
-        let head = pa + 60;
-        mem.note_code_bytes(head, 7);
-        assert!(mem.code_bytes_flagged(head, 7), "head and tail flagged");
-        assert!(mem.code_bytes_flagged(pa + 64, 1), "tail block flagged");
-        assert!(!mem.code_bytes_flagged(pa + 128, 1), "beyond is untouched");
-        // A write landing only in the tail bytes bumps the generation.
-        let gen = mem.decode_gen();
-        mem.write(pa + 64, Width::Long, 0xDEAD_BEEF, 50);
-        assert_eq!(mem.decode_gen(), gen + 1, "tail write invalidates");
-        // The bump forgot the flags; re-inserts re-flag.
-        assert!(!mem.code_bytes_flagged(head, 7));
-    }
-
-    #[test]
-    fn head_only_write_also_invalidates_straddler() {
-        let mut mem = machine();
-        mem.tb_fill(0x1000, 0).unwrap();
-        let pa = mem.translate(0x1000, Stream::Data).unwrap();
-        mem.note_code_bytes(pa + 60, 7);
-        let gen = mem.decode_gen();
-        mem.write(pa + 60, Width::Byte, 0x01, 50);
-        assert_eq!(mem.decode_gen(), gen + 1, "head write invalidates");
     }
 
     #[test]

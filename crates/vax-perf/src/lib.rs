@@ -2,7 +2,7 @@
 //!
 //! The paper instruments a real machine; we instrument the *simulator*:
 //! each of the five workloads is run under identical machine
-//! configurations twice — the naive byte-by-byte reference loop
+//! configurations twice — the naive reference loop
 //! ([`CpuConfig::naive_loop`]) and the default loop with the host fast
 //! paths on ([`CpuConfig::default`]) — and the harness reports
 //! per-workload sim-MIPS (millions of simulated instructions per host
@@ -18,9 +18,9 @@
 //!   tee'd off one [`upc_monitor::CycleSink`] feed — must produce
 //!   **bit-identical** event streams, and each run must pass the
 //!   three-way trace/histogram/counter reconciliation on its own;
-//! * the default loop must actually engage its fast paths (predecode
-//!   hits and instructions retired inside the continuation loop), so
-//!   the equality can never be vacuous.
+//! * the default loop must actually engage its fast paths (instructions
+//!   retired inside the continuation loop), so the equality can never
+//!   be vacuous.
 //!
 //! Any discrepancy is recorded as a divergence and fails the bench
 //! (`vax780 bench` exits nonzero), making this a trajectory gate: the
@@ -234,12 +234,12 @@ fn ratio(base: Duration, over: Duration) -> f64 {
 /// One timed measurement: build, warm up (untimed), measure (timed).
 /// Returns the measurement, the wall time of the measured region only
 /// (so machine construction and warm-up don't pollute sim-MIPS), and
-/// the machine's predecode hits and continued instructions.
+/// the machine's continued instructions.
 fn timed_run(
     kind: WorkloadKind,
     config: CpuConfig,
     spec: &BenchSpec,
-) -> (MeasuredWorkload, Duration, u64, u64) {
+) -> (MeasuredWorkload, Duration, u64) {
     let mut machine = build_machine_with_config(&profile(kind), config, MemConfig::default());
     machine
         .run_instructions(spec.warmup, &mut NullSink)
@@ -247,9 +247,8 @@ fn timed_run(
     let start = Instant::now();
     let measured = measure(&mut machine, spec.timing_instructions);
     let wall = start.elapsed();
-    let hits = machine.cpu.predecode_stats().hits;
     let continued = machine.cpu.block_stats().replayed;
-    (measured, wall, hits, continued)
+    (measured, wall, continued)
 }
 
 /// Everything a traced equivalence run observes.
@@ -361,18 +360,13 @@ pub fn run_bench_with_progress(spec: &BenchSpec, progress: impl Fn(&str)) -> Ben
                 ("naive", CpuConfig::naive_loop(), &mut naive),
                 ("default", CpuConfig::default(), &mut default),
             ] {
-                let (m, wall, hits, continued) = timed_run(kind, config, spec);
+                let (m, wall, continued) = timed_run(kind, config, spec);
                 if rep == 0 {
                     // Engagement: the measured equality below is only
                     // meaningful if the default loop actually ran its
                     // fast paths. Deterministic simulation: every
                     // repetition sees identical counters.
                     if config.fast_paths {
-                        if hits == 0 {
-                            divergences.push(format!(
-                                "{name}: default loop never hit the predecode cache"
-                            ));
-                        }
                         if continued == 0 {
                             divergences.push(format!("{name}: default loop never continued a run"));
                         }
@@ -380,7 +374,7 @@ pub fn run_bench_with_progress(spec: &BenchSpec, progress: impl Fn(&str)) -> Ben
                             continued as f64 / (spec.warmup + m.instructions).max(1) as f64;
                     }
                     progress(&format!(
-                        "{name}: {label} run, {:.2}s (predecode {hits} hits, {continued} continued)",
+                        "{name}: {label} run, {:.2}s ({continued} continued)",
                         wall.as_secs_f64()
                     ));
                 }

@@ -110,6 +110,10 @@ pub fn parse_result_blob(text: &str, name: &'static str) -> Result<MeasuredWorkl
 }
 
 /// Run the job on the calling process, one thread per attempt.
+///
+/// Every attempt validates its spec first ([`JobSpec::validate`]): a job
+/// that reached a journal without validation fails its attempt with the
+/// reason instead of building a machine it cannot allocate.
 #[derive(Debug, Default)]
 pub struct InProcessExecutor;
 
@@ -119,6 +123,7 @@ impl Executor for InProcessExecutor {
         spec: &JobSpec,
         timeout: Option<Duration>,
     ) -> Result<MeasuredWorkload, ExecError> {
+        spec.validate().map_err(ExecError::Failed)?;
         let run_guarded = |spec: &JobSpec| -> Result<MeasuredWorkload, ExecError> {
             let exp = spec.experiment();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run()))
@@ -181,6 +186,24 @@ mod tests {
             "vax-job-result v1\nresult instructions 1 cycles 2\nupc-histogram v1\n",
         ] {
             assert!(parse_result_blob(bad, "x").is_err(), "{bad:?}");
+        }
+    }
+
+    /// A spec that skipped validation (say, one already in a journal)
+    /// fails its attempt naming the key; the machine is never built —
+    /// unvalidated, this write buffer alone would ask for about 34 GB.
+    #[test]
+    fn in_process_attempt_rejects_an_unbounded_spec() {
+        let mut spec = JobSpec::new(WorkloadKind::Educational);
+        spec.write_buffer = Some(u32::MAX);
+        for timeout in [None, Some(Duration::from_secs(60))] {
+            match InProcessExecutor.run(&spec, timeout) {
+                Err(ExecError::Failed(msg)) => assert!(msg.starts_with("write-buffer"), "{msg}"),
+                other => panic!(
+                    "expected a failed attempt, got {:?}",
+                    other.map(|m| m.cycles)
+                ),
+            }
         }
     }
 

@@ -39,6 +39,19 @@ impl Tier {
     }
 }
 
+/// Largest `cache-kb` a spec may ask for (1 MiB; the sweep's largest
+/// cache is 32 KB).
+const MAX_CACHE_KB: u32 = 1024;
+/// Largest `tb-entries` a spec may ask for (the sweep's largest TB has
+/// 256 entries).
+const MAX_TB_ENTRIES: u32 = 4096;
+/// Largest `write-buffer` depth a spec may ask for (the sweep's deepest
+/// buffer has 8 entries).
+const MAX_WRITE_BUFFER: u32 = 64;
+/// Largest fault plan a spec may ask for: fault classes × `fault-count`
+/// (campaigns inject 2 per class).
+const MAX_FAULTS: u64 = 1024;
+
 /// One simulation request: workload × configuration × fault plan × seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -221,9 +234,29 @@ impl JobSpec {
 
     /// Cheap structural validation beyond what [`parse`](JobSpec::parse)
     /// enforces: the memory-geometry overrides must describe a buildable
-    /// cache/TB, so an impossible job is rejected at enqueue time
-    /// instead of panicking in a worker.
+    /// cache/TB, and every override that sizes an allocation (cache, TB,
+    /// write buffer, fault plan) must stay within its `MAX_*` bound. An
+    /// impossible job is rejected at enqueue time instead of panicking a
+    /// worker, and a hostile one instead of aborting the whole process
+    /// on a failed allocation.
     pub fn validate(&self) -> Result<(), String> {
+        for (key, value, max) in [
+            ("cache-kb", self.cache_kb, MAX_CACHE_KB),
+            ("tb-entries", self.tb_entries, MAX_TB_ENTRIES),
+            ("write-buffer", self.write_buffer, MAX_WRITE_BUFFER),
+        ] {
+            if let Some(v) = value.filter(|&v| v > max) {
+                return Err(format!("{key}: at most {max}, got {v}"));
+            }
+        }
+        let faults = (self.faults.len() as u64).saturating_mul(u64::from(self.fault_count));
+        if faults > MAX_FAULTS {
+            return Err(format!(
+                "fault-count: {} class(es) x {} is {faults} faults, at most {MAX_FAULTS}",
+                self.faults.len(),
+                self.fault_count
+            ));
+        }
         let mem = self.mem_config();
         // Mirror MemConfig::validate's asserts, reported as errors.
         let c = mem.cache;
@@ -404,6 +437,42 @@ mod tests {
         spec.cache_kb = None;
         spec.write_buffer = Some(0);
         assert!(spec.validate().is_err());
+    }
+
+    /// Overrides that size an allocation are bounded, and the error
+    /// names the key. Each of these specs, unvalidated, asks the machine
+    /// build for gigabytes — a failed allocation aborts the process, which
+    /// `catch_unwind` cannot catch — so none of them may ever be built.
+    #[test]
+    fn validate_bounds_allocation_sizes_naming_the_key() {
+        for (line, key) in [
+            ("workload=sci-eng write-buffer=4294967295", "write-buffer"),
+            ("workload=sci-eng tb-entries=2147483648", "tb-entries"),
+            ("workload=sci-eng cache-kb=2097152", "cache-kb"),
+            (
+                "workload=sci-eng faults=cache-parity+tb-corrupt+sbi-timeout+write-buffer+cs-bit-flip \
+                 fault-count=4294967295",
+                "fault-count",
+            ),
+        ] {
+            let spec = JobSpec::parse(line).expect(line);
+            let err = spec.validate().expect_err(line);
+            assert!(err.starts_with(key), "{line}: {err}");
+        }
+        // The largest values in use stay valid, as do the bounds.
+        for line in [
+            "workload=sci-eng cache-kb=32 tb-entries=256 write-buffer=8",
+            "workload=sci-eng cache-kb=1024 tb-entries=4096 write-buffer=64",
+            "workload=sci-eng faults=cache-parity+sbi-timeout fault-count=2",
+            "workload=sci-eng faults=cache-parity+sbi-timeout fault-count=512",
+        ] {
+            let spec = JobSpec::parse(line).expect(line);
+            assert_eq!(spec.validate(), Ok(()), "{line}");
+        }
+        let over =
+            JobSpec::parse("workload=sci-eng faults=cache-parity+sbi-timeout fault-count=513")
+                .expect("parses");
+        assert!(over.validate().is_err(), "1026 faults");
     }
 
     #[test]

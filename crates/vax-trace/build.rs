@@ -33,6 +33,13 @@ fn main() {
     let opt = std::env::var("OPT_LEVEL").unwrap_or_else(|_| "unknown".to_string());
     println!("cargo:rustc-env=VAX_OPT_LEVEL={opt}");
 
-    // Re-stamp when the checked-out revision moves.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when the checked-out revision moves. A source export has
+    // no `.git`, and cargo re-runs a script on every build while a
+    // watched path is missing, which recompiles every dependent crate;
+    // there the revision is "unknown" for good, so watch only this file.
+    if std::path::Path::new("../../.git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
 }

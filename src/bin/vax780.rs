@@ -67,7 +67,7 @@
 //! `report` re-analyses a saved histogram (the paper's "additional
 //! interpretation of the raw histogram data", §2.2); `disasm` shows the
 //! generated VAX code a workload actually runs; `bench` measures the
-//! *simulator* — the naive byte-by-byte loop vs the default loop with
+//! *simulator* — the naive reference loop vs the default loop with
 //! its host fast paths over all five workloads — and fails unless both
 //! loops produce bit-identical histograms, counters, and trace streams.
 //!
