@@ -27,6 +27,18 @@ VAX780=target/release/vax780
 CKPT_DIR=$(mktemp -d)
 trap 'rm -rf "$CKPT_DIR"' EXIT
 
+# Plan-file injection gate: a µPC-keyed trigger (the 5000th issue from
+# micro-address 0) and a cycle-keyed one, from a `fault-plan v1` file.
+# The armed machine runs the continuation loop, which must stop at the
+# boundary where each fault is due: both faults fire at their pinned
+# cycles and all three instruments reconcile exactly (exit 0).
+printf 'fault-plan v1\nsbi-timeout @upc 0x0 hits 5000\ncache-parity @cycle 20000\n' \
+    > "$CKPT_DIR/upc.plan"
+"$VAX780" inject --fault-plan "$CKPT_DIR/upc.plan" --workload educational \
+    --instructions 20000 --warmup 5000 --report > "$CKPT_DIR/inject-upc.txt"
+grep -qx 'fired cache-parity @ cycle 76437' "$CKPT_DIR/inject-upc.txt"
+grep -qx 'fired sbi-timeout @ cycle 110467' "$CKPT_DIR/inject-upc.txt"
+
 # Checkpoint/resume gate: `run --checkpoint` is "enqueue, then drain"
 # over a queue journal. Settle two of the composite's five jobs through
 # the queue first (a campaign killed after two jobs), finish the
@@ -160,10 +172,11 @@ fi
 # Repository-benchmark correctness gate: hostbench (its own workspace,
 # not built by the steps above) must still build against the library
 # crates' public API and reproduce its pinned per-job digests
-# (hostbench/pinned.txt). A one-second run of each benchmarked workload
-# checks both; hostbench exits 1 on a wrong simulated output, and the
-# last line of its output must report "correct": true.
-for W in characterize campaign; do
+# (hostbench/pinned.txt). A one-second run of each workload checks
+# both; hostbench exits 1 on a wrong simulated output, and the last
+# line of its output must report "correct": true. `faulted`'s pins are
+# the armed continuation loop's bit-identity check at benchmark scale.
+for W in characterize campaign faulted; do
     cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- \
         --workload "$W" --seed 1 --seconds 1 --trace 0 > "$CKPT_DIR/hostbench-$W.txt"
     tail -n 1 "$CKPT_DIR/hostbench-$W.txt" | grep -q '"correct": true'

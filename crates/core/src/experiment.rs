@@ -1,5 +1,6 @@
 //! A single measurement experiment on one workload.
 
+use std::time::Instant;
 use upc_monitor::{Command, Histogram, HistogramBoard, NullSink};
 use vax_analysis::Analysis;
 use vax_cpu::CpuConfig;
@@ -77,6 +78,13 @@ impl Experiment {
     /// Panics if the machine halts or faults unrecoverably — generated
     /// workloads never do; such a panic is a model bug.
     pub fn run(&self) -> MeasuredWorkload {
+        self.run_until(None).expect("no deadline to miss")
+    }
+
+    /// [`Experiment::run`], but `None` once `deadline` has passed: the
+    /// warm-up and measurement loops read the clock between steps when
+    /// a deadline is set. Panics as `run` does.
+    pub fn run_until(&self, deadline: Option<Instant>) -> Option<MeasuredWorkload> {
         // Debug builds refuse structurally broken workloads up front;
         // release campaigns skip the analysis cost. The gate memoizes
         // per (profile, seed), so sweeps pay it once.
@@ -85,16 +93,23 @@ impl Experiment {
         let mut machine = build_machine_with_config(&self.params, self.cpu_config, self.mem_config);
         let mut null = NullSink;
         // Warm-up: caches, TB, scheduler all reach steady state.
-        machine
-            .run_instructions(self.warmup_instructions, &mut null)
-            .expect("warmup runs");
+        let target = machine.cpu.instructions() + self.warmup_instructions;
+        while machine.cpu.instructions() < target {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            let remaining = target - machine.cpu.instructions();
+            machine
+                .step_budgeted(remaining, &mut null)
+                .expect("warmup runs");
+        }
         if let Some(plan) = &self.fault_plan {
             machine
                 .cpu
                 .mem_mut()
                 .set_fault_hook(Box::new(FaultEngine::new(plan)));
         }
-        measure(&mut machine, self.instructions)
+        measure_until(&mut machine, self.instructions, deadline)
     }
 }
 
@@ -112,9 +127,18 @@ impl Experiment {
 ///
 /// Panics if the machine halts or faults unrecoverably (a model bug).
 pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> MeasuredWorkload {
+    measure_until(machine, instructions, None).expect("no deadline to miss")
+}
+
+/// [`measure`], but `None` once `deadline` has passed.
+fn measure_until(
+    machine: &mut vax_workloads::Machine,
+    instructions: u64,
+    deadline: Option<Instant>,
+) -> Option<MeasuredWorkload> {
     let mut null = NullSink;
     // Measurement boundary: clear the second instrument too, and arm
-    // any installed fault hook so trigger offsets count from here.
+    // any installed fault engine so trigger offsets count from here.
     machine.cpu.mem_mut().counters_mut().clear();
     let insns_before = machine.cpu.instructions();
     let cycles_before = machine.cpu.now();
@@ -123,6 +147,9 @@ pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> Measu
     let mut board = HistogramBoard::new();
     board.execute(Command::Start);
     while machine.cpu.instructions() - insns_before < instructions {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
         if machine.at_idle() {
             // One step at a time: the idle exclusion is re-evaluated at
             // every instruction boundary.
@@ -143,13 +170,13 @@ pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> Measu
     }
     board.execute(Command::Stop);
 
-    MeasuredWorkload {
+    Some(MeasuredWorkload {
         name: machine.name,
         histogram: board.into_histogram(),
         counters: *machine.cpu.mem().counters(),
         instructions: machine.cpu.instructions() - insns_before,
         cycles: machine.cpu.now() - cycles_before,
-    }
+    })
 }
 
 /// The outcome of one measured workload.
@@ -195,5 +222,26 @@ mod tests {
         assert!(a.total_cycles() > 0);
         let cpi = a.cpi();
         assert!((3.0..25.0).contains(&cpi), "CPI {cpi}");
+    }
+
+    /// A deadline that has already passed stops the run at the first
+    /// clock check, on the calling thread: no measurement, and none of
+    /// the 50M instructions the full run would need.
+    #[test]
+    fn an_expired_deadline_returns_no_measurement_promptly() {
+        let started = Instant::now();
+        let exp = Experiment::new(WorkloadKind::TimesharingHeavy)
+            .warmup(1_000)
+            .instructions(50_000_000);
+        assert!(exp.run_until(Some(started)).is_none());
+        let mut machine = vax_workloads::build_machine(&profile(WorkloadKind::SciEng));
+        let before = machine.cpu.instructions();
+        assert!(measure_until(&mut machine, 50_000_000, Some(started)).is_none());
+        assert_eq!(machine.cpu.instructions(), before, "nothing simulated");
+        assert!(
+            started.elapsed().as_secs() < 30,
+            "took {:?}",
+            started.elapsed()
+        );
     }
 }

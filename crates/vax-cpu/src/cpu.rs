@@ -170,7 +170,7 @@ impl Cpu {
     }
 
     /// Continuation-loop counts (host-side diagnostics; zero in the
-    /// naive loop, and while a fault hook is installed).
+    /// naive loop).
     pub fn block_stats(&self) -> BlockStats {
         self.block_stats
     }
@@ -264,13 +264,22 @@ impl Cpu {
 
     // ----- the microcycle engine -------------------------------------------
 
+    /// Issue a microinstruction at `addr`: tell the sink and the fault
+    /// engine, and tick the prefetcher (`port_free`: the µop leaves the
+    /// cache port to it). The caller then makes the cycle's memory
+    /// reference, if any, and ends the cycle with `self.now += 1`.
+    #[inline]
+    fn issue<S: CycleSink>(&mut self, addr: MicroAddr, port_free: bool, sink: &mut S) {
+        sink.record_issue(addr);
+        self.mem.observe_upc(addr.value(), 1);
+        let fetch = self.ib.tick(&mut self.mem, self.now, port_free);
+        note_ib_fetch(fetch, sink);
+    }
+
     /// Issue one compute microinstruction at `addr`.
     #[inline]
     pub(crate) fn micro_compute<S: CycleSink>(&mut self, addr: MicroAddr, sink: &mut S) {
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, true);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, true, sink);
         self.now += 1;
     }
 
@@ -278,9 +287,10 @@ impl Cpu {
     /// body loops of the service microroutines). When the sink's
     /// monomorphized type permits coalescing ([`CycleSink::COALESCE_OK`])
     /// and the configuration enables the sink fast path, the issues are
-    /// recorded with one batched call and prefetcher ticks that provably
-    /// do nothing are skipped in bulk; the simulated machine (counters,
-    /// events, clock) is bit-identical either way.
+    /// recorded with one batched call, the fault engine counts them
+    /// with one call, and prefetcher ticks that provably do nothing are
+    /// skipped in bulk; the simulated machine (counters, events, clock)
+    /// is bit-identical either way.
     #[inline]
     pub(crate) fn micro_compute_run<S: CycleSink>(
         &mut self,
@@ -298,18 +308,7 @@ impl Cpu {
             return;
         }
         sink.record_issue_run(addr, n);
-        if self.mem.has_fault_hook() {
-            // A fault hook must observe every µPC in order: no skipping.
-            for _ in 0..n {
-                self.mem.observe_upc(addr.value());
-                let fetch = self.ib.tick(&mut self.mem, self.now, true);
-                note_ib_fetch(fetch, sink);
-                self.now += 1;
-            }
-            return;
-        }
-        // No hook: observe_upc is a no-op, so only the prefetcher is
-        // left — run it with no-op ticks skipped in bulk.
+        self.mem.observe_upc(addr.value(), n);
         self.run_ticks_bulk(n, sink);
     }
 
@@ -419,18 +418,12 @@ impl Cpu {
                 sink,
             );
             let addr = self.cs.tb_miss_sys_read();
-            sink.record_issue(addr);
-            self.mem.observe_upc(addr.value());
-            let fetch = self.ib.tick(&mut self.mem, self.now, false);
-            note_ib_fetch(fetch, sink);
+            self.issue(addr, false, sink);
             self.now += 1;
             self.stall(addr, sys.stall, StallCause::Read, sink);
         }
         let addr = self.cs.tb_miss_pte_read();
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, false);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, false, sink);
         self.now += 1;
         self.stall(addr, fill.pte_read.stall, StallCause::Read, sink);
         self.micro_compute_run(
@@ -450,10 +443,7 @@ impl Cpu {
         sink: &mut S,
     ) -> Result<u32, Fault> {
         let pa = self.translate_data(va, sink)?;
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, false);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, false, sink);
         let outcome = self.mem.read(pa, width, self.now);
         note_data_read(outcome.miss, sink);
         self.now += 1;
@@ -471,10 +461,7 @@ impl Cpu {
         sink: &mut S,
     ) -> Result<(), Fault> {
         let pa = self.translate_data(va, sink)?;
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, false);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, false, sink);
         let outcome = self.mem.write(pa, width, value, self.now);
         note_data_write(self.mem.write_buffer_occupancy(), sink);
         self.now += 1;
@@ -581,10 +568,7 @@ impl Cpu {
         pa: u32,
         sink: &mut S,
     ) -> u32 {
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, false);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, false, sink);
         let outcome = self.mem.read(pa & !3, Width::Long, self.now);
         note_data_read(outcome.miss, sink);
         self.now += 1;
@@ -600,10 +584,7 @@ impl Cpu {
         value: u32,
         sink: &mut S,
     ) {
-        sink.record_issue(addr);
-        self.mem.observe_upc(addr.value());
-        let fetch = self.ib.tick(&mut self.mem, self.now, false);
-        note_ib_fetch(fetch, sink);
+        self.issue(addr, false, sink);
         let outcome = self.mem.write(pa & !3, Width::Long, value, self.now);
         note_data_write(self.mem.write_buffer_occupancy(), sink);
         self.now += 1;
@@ -697,22 +678,25 @@ impl Cpu {
     /// and never overshoot. A budget of 1 is exactly [`Cpu::step`].
     /// [`StepOutcome::Instruction`] carries the *last* retired opcode.
     ///
-    /// The continuation loop runs only with the fast paths on and no
-    /// fault hook installed (an armed hook polls every instruction
-    /// boundary and observes every µPC); otherwise every call executes
-    /// exactly one instruction. It keeps executing until the budget is
-    /// spent, the external-event horizon is reached, or an instruction
+    /// The continuation loop runs with the fast paths on, fault engine
+    /// armed or not; in the naive loop every call executes exactly one
+    /// instruction. It keeps executing until the budget is spent, the
+    /// clock reaches the external-event horizon or the fault engine's
+    /// due cycle ([`MemorySubsystem::fault_due`]), or an instruction
     /// retires that could make an interrupt deliverable
     /// ([`crate::effect::claimed_resume_safe`]). Bit-identity argument
-    /// for the per-step work it skips: the fault poll is a no-op because
-    /// no hook is armed and none can be installed from inside the run;
-    /// interrupt arbitration is a no-op because the only things that
-    /// change IPL/SISR/interrupt lines are external events (which cannot
-    /// fire before the event horizon — and the run stops there) and the
-    /// resume-unsafe instructions (the run returns right after one
-    /// retires); the external-event pump is a no-op for the same horizon
-    /// reason. So the run retires exactly the instructions, in exactly
-    /// the states, that that many per-instruction steps would have.
+    /// for the per-step work it skips: the fault poll is a no-op before
+    /// the due cycle, the earliest cycle at which a poll can return a
+    /// fault — a `@upc` trigger maturing mid-instruction makes the
+    /// engine due at once, so the run stops at the boundary where the
+    /// naive loop's poll takes the fault; interrupt arbitration is a
+    /// no-op because the only things that change IPL/SISR/interrupt
+    /// lines are external events (which cannot fire before the event
+    /// horizon — and the run stops there) and the resume-unsafe
+    /// instructions (the run returns right after one retires); the
+    /// external-event pump is a no-op for the same horizon reason. So
+    /// the run retires exactly the instructions, in exactly the states,
+    /// that that many per-instruction steps would have.
     ///
     /// # Errors
     ///
@@ -733,11 +717,7 @@ impl Cpu {
             self.service_interrupt(int, sink);
             return Ok(StepOutcome::Interrupt);
         }
-        let limit = if self.config.fast_paths && !self.mem.has_fault_hook() {
-            budget
-        } else {
-            1
-        };
+        let limit = if self.config.fast_paths { budget } else { 1 };
         let mut executed: u64 = 0;
         let outcome = loop {
             let pc = self.regs.pc();
@@ -745,7 +725,10 @@ impl Cpu {
                 Ok(op) => {
                     self.insn_count += 1;
                     executed += 1;
-                    if executed >= limit || !resume_safe(op) || self.now >= self.event_horizon {
+                    if executed >= limit
+                        || !resume_safe(op)
+                        || self.now >= self.event_horizon.min(self.mem.fault_due())
+                    {
                         break Ok(StepOutcome::Instruction(op));
                     }
                 }
@@ -973,7 +956,7 @@ impl Cpu {
         self.micro_compute_run(u_body, class.recovery_body_cycles(), sink);
         // Perturb the memory subsystem the way the real error would
         // have (flushed cache/TB, busy SBI, ...), count it, and log the
-        // entry cycle back to the hook.
+        // entry cycle back to the engine.
         self.mem.apply_fault(class, self.now);
         let pc = self.regs.pc();
         self.deliver_exception(Fault::MachineCheck, pc, sink)

@@ -6,10 +6,11 @@
 //! cycle budget Emer & Clark's monitor attributed. This crate supplies
 //! the *injection* half of reproducing that behavior: a [`FaultPlan`] of
 //! scheduled faults — keyed to cycle counts or µPC addresses — and a
-//! [`FaultEngine`] that the memory subsystem polls through the
-//! [`FaultHook`] trait. The CPU model owns the *recovery* half (the
-//! machine-check microcode paths); the split keeps this crate a leaf with
-//! no simulator dependencies.
+//! [`FaultEngine`] that the memory subsystem owns and the CPU polls,
+//! stopping its continuation loop at the engine's [`FaultEngine::due`]
+//! cycle. The CPU model owns the *recovery* half (the machine-check
+//! microcode paths); the split keeps this crate a leaf with no simulator
+//! dependencies.
 //!
 //! Everything here is deterministic: the same plan (or the same seed)
 //! produces the same fault schedule, so an injected campaign is exactly
@@ -21,7 +22,7 @@
 mod engine;
 mod plan;
 
-pub use engine::{FaultEngine, FaultHook, FiredFault};
+pub use engine::{FaultEngine, FiredFault};
 pub use plan::{FaultPlan, FaultTrigger, PlanError, ScheduledFault};
 
 use std::fmt;

@@ -8,7 +8,7 @@ use crate::{
     AddressSpace, Cache, HwCounters, MemConfig, PhysMem, Pte, Sbi, SystemMap, Tb, TbHalf,
     PAGE_BYTES,
 };
-use vax_fault::{FaultClass, FaultHook, FiredFault};
+use vax_fault::{FaultClass, FaultEngine, FiredFault};
 
 /// Which reference stream a memory operation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +135,9 @@ pub struct MemorySubsystem {
     /// when the fill ends in a fault. The tracer needs them: a faulting
     /// fill still made cache references that the hardware counters saw.
     last_fill_reads: (Option<ReadOutcome>, Option<ReadOutcome>),
-    /// Fault-injection hook (None on the happy path; installing one is
-    /// how `vax780 inject` perturbs the machine).
-    fault_hook: Option<Box<dyn FaultHook>>,
+    /// Fault-injection engine (None on the happy path; installing one
+    /// is how `vax780 inject` perturbs the machine).
+    fault_hook: Option<Box<FaultEngine>>,
     /// One-entry translation shortcut (same argument as the IB
     /// prefetcher's): the page and frame base of the last successful
     /// [`MemorySubsystem::translate`], valid while the TB generation is
@@ -514,36 +514,33 @@ impl MemorySubsystem {
 
     // ----- fault injection -------------------------------------------------
 
-    /// Install a fault-injection hook. The hook is inert until
+    /// Install a fault-injection engine. It is inert until
     /// [`arm_fault_hook`](MemorySubsystem::arm_fault_hook) is called.
-    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
+    pub fn set_fault_hook(&mut self, hook: Box<FaultEngine>) {
         self.fault_hook = Some(hook);
     }
 
-    /// Remove the hook (back to the happy path).
-    pub fn clear_fault_hook(&mut self) {
-        self.fault_hook = None;
-    }
-
-    /// Is a hook installed? The CPU gates its per-µcycle observation
-    /// calls on this, so the happy path pays a single branch.
-    #[inline]
-    pub fn has_fault_hook(&self) -> bool {
-        self.fault_hook.is_some()
-    }
-
-    /// Arm the installed hook: trigger offsets count from `now`.
+    /// Arm the installed engine: trigger offsets count from `now`.
     pub fn arm_fault_hook(&mut self, now: u64) {
         if let Some(hook) = &mut self.fault_hook {
             hook.arm(now);
         }
     }
 
-    /// Report one µPC issue to the hook (µPC-keyed triggers).
+    /// The earliest cycle at which [`poll_fault`](Self::poll_fault)
+    /// can return a fault ([`FaultEngine::due`]; `u64::MAX` without an
+    /// engine). A poll before it is a no-op.
     #[inline]
-    pub fn observe_upc(&mut self, upc: u16) {
+    pub fn fault_due(&self) -> u64 {
+        self.fault_hook.as_ref().map_or(u64::MAX, |hook| hook.due())
+    }
+
+    /// Report `n` consecutive issues from `upc` to the engine (µPC-keyed
+    /// triggers).
+    #[inline]
+    pub fn observe_upc(&mut self, upc: u16, n: u32) {
         if let Some(hook) = &mut self.fault_hook {
-            hook.observe_issue(upc);
+            hook.observe_issue(upc, n);
         }
     }
 
@@ -559,7 +556,7 @@ impl MemorySubsystem {
     }
 
     /// The machine took an injected fault: count it on the hardware
-    /// monitor, log it on the hook, and apply the class's perturbation to
+    /// monitor, log it on the engine, and apply the class's perturbation to
     /// the subsystem state (this is what makes the fault *observable*
     /// beyond its recovery-microcode cycles).
     pub fn apply_fault(&mut self, class: FaultClass, now: u64) {
@@ -592,11 +589,11 @@ impl MemorySubsystem {
         }
     }
 
-    /// The log of faults taken so far (empty without a hook).
+    /// The log of faults taken so far (empty without an engine).
     pub fn faults_fired(&self) -> Vec<FiredFault> {
         self.fault_hook
             .as_ref()
-            .map_or_else(Vec::new, |h| h.fired())
+            .map_or_else(Vec::new, |h| h.fired().to_vec())
     }
 
     /// Software page-table walk with no cache/TB/timing effects: would a
@@ -779,16 +776,18 @@ mod tests {
 
     #[test]
     fn fault_hook_drives_poll_and_fired_log() {
-        use vax_fault::{FaultEngine, FaultPlan, FaultTrigger};
+        use vax_fault::{FaultPlan, FaultTrigger};
         let mut mem = machine();
-        assert!(!mem.has_fault_hook());
+        assert_eq!(mem.fault_due(), u64::MAX, "no engine");
         assert_eq!(mem.poll_fault(u64::MAX), None);
         let plan = FaultPlan::new().with(FaultClass::CacheParity, FaultTrigger::AtCycle(50));
         mem.set_fault_hook(Box::new(FaultEngine::new(&plan)));
-        assert!(mem.has_fault_hook());
+        assert_eq!(mem.fault_due(), u64::MAX, "installed but unarmed");
         mem.arm_fault_hook(1_000);
+        assert_eq!(mem.fault_due(), 1_050);
         assert_eq!(mem.poll_fault(1_010), None);
         assert_eq!(mem.poll_fault(1_050), Some(FaultClass::CacheParity));
+        assert_eq!(mem.fault_due(), u64::MAX, "nothing left to fire");
         mem.apply_fault(FaultClass::CacheParity, 1_051);
         let fired = mem.faults_fired();
         assert_eq!(fired.len(), 1);

@@ -14,9 +14,9 @@
 //!   into a snapshot segment behind an offset index, so replay and
 //!   result streaming are O(unsettled) in memory and the live tail
 //!   stays small no matter how long the queue's history grows;
-//! - [`queue`] — the in-process executor (one attempt on a local
-//!   thread, with a per-attempt timeout) and the `vax-job-result v1`
-//!   blob remote workers send back;
+//! - [`queue`] — the in-process executor (one attempt on the worker's
+//!   own thread, stopped at its per-attempt deadline) and the
+//!   `vax-job-result v1` blob remote workers send back;
 //! - [`wire`] — the line protocol (Unix socket or TCP) and client;
 //! - [`server`] — the worker pool with bounded-capacity backpressure,
 //!   per-client quotas, bounded retry with deterministic backoff,

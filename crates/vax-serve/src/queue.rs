@@ -1,7 +1,7 @@
 //! Job execution: how one [`JobSpec`] becomes one measurement.
 //!
 //! The server runs work two ways. [`InProcessExecutor`] runs the
-//! experiment on a local worker thread; a remote `vax780 worker`
+//! experiment on the calling worker thread; a remote `vax780 worker`
 //! process claims the job over the wire and sends back a
 //! `vax-job-result v1` blob ([`render_result_blob`]), which gives
 //! process isolation and multi-host sharding. Both run the same
@@ -9,7 +9,7 @@
 //! [`MeasuredWorkload`].
 
 use crate::spec::JobSpec;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use upc_monitor::codec;
 use vax780_core::MeasuredWorkload;
 
@@ -20,7 +20,7 @@ const BLOB_HEADER: &str = "vax-job-result v1";
 pub enum ExecError {
     /// The simulation panicked.
     Failed(String),
-    /// The attempt exceeded its deadline and was abandoned.
+    /// The attempt exceeded its deadline and gave up.
     Timeout(Duration),
 }
 
@@ -109,7 +109,9 @@ pub fn parse_result_blob(text: &str, name: &'static str) -> Result<MeasuredWorkl
     })
 }
 
-/// Run the job on the calling process, one thread per attempt.
+/// Run the job on the calling thread. The experiment reads the clock
+/// between simulation steps and gives up at the attempt's deadline, so
+/// a timed-out attempt stops simulating when it is reported.
 ///
 /// Every attempt validates its spec first ([`JobSpec::validate`]): a job
 /// that reached a journal without validation fails its attempt with the
@@ -124,27 +126,12 @@ impl Executor for InProcessExecutor {
         timeout: Option<Duration>,
     ) -> Result<MeasuredWorkload, ExecError> {
         spec.validate().map_err(ExecError::Failed)?;
-        let run_guarded = |spec: &JobSpec| -> Result<MeasuredWorkload, ExecError> {
-            let exp = spec.experiment();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run()))
-                .map_err(|p| ExecError::Failed(panic_message(&p)))
-        };
-        let Some(limit) = timeout else {
-            return run_guarded(spec);
-        };
-        // Run on a helper thread so the attempt can be abandoned at the
-        // deadline. The thread is detached on timeout: the simulation
-        // cannot be interrupted, but its result is discarded and the
-        // worker slot freed.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let spec = spec.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(run_guarded(&spec));
-        });
-        match rx.recv_timeout(limit) {
-            Ok(result) => result,
-            Err(_) => Err(ExecError::Timeout(limit)),
-        }
+        // A deadline past the clock's range is no deadline.
+        let deadline = timeout.and_then(|limit| Instant::now().checked_add(limit));
+        let exp = spec.experiment();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_until(deadline)))
+            .map_err(|p| ExecError::Failed(panic_message(&p)))?
+            .ok_or(ExecError::Timeout(timeout.unwrap_or_default()))
     }
 }
 

@@ -87,6 +87,41 @@ fn injected_run(
     }
 }
 
+/// The same injected run under the histogram board alone. The tracer
+/// needs per-event granularity and so declines coalescing; the board
+/// permits it, so only this run takes the default loop's bulk ticks and
+/// batched issue runs while the engine is armed. Returns the fault log,
+/// histogram and counters, which must match the naive loop's.
+fn coalesced_run(
+    params: &ProfileParams,
+    plan: &FaultPlan,
+    warmup: u64,
+    measured: u64,
+) -> (Vec<FiredFault>, upc_monitor::Histogram, HwCounters) {
+    let mut machine = build_machine_with_config(params, CpuConfig::default(), MemConfig::default());
+    let hw_base = *machine.cpu.mem().counters();
+    let mut board = HistogramBoard::new();
+    board.execute(Command::Start);
+    machine
+        .run_instructions(warmup, &mut board)
+        .expect("warmup runs");
+    machine
+        .cpu
+        .mem_mut()
+        .set_fault_hook(Box::new(FaultEngine::new(plan)));
+    let now = machine.cpu.now();
+    machine.cpu.mem_mut().arm_fault_hook(now);
+    machine
+        .run_instructions(measured, &mut board)
+        .expect("measured region runs");
+    board.execute(Command::Stop);
+    (
+        machine.cpu.mem().faults_fired(),
+        board.snapshot(),
+        machine.cpu.mem().counters().delta_since(&hw_base),
+    )
+}
+
 /// The headline case: a mixed plan over every fault class, run twice.
 #[test]
 fn same_seed_and_plan_reproduce_the_run_bit_for_bit() {
@@ -152,13 +187,15 @@ fn upc_triggered_faults_are_reproducible() {
 }
 
 /// Audit pin: an `AtCycle` trigger bisected into the *middle* of a
-/// stretch the fast paths would otherwise coalesce into one bulk clock
-/// advance. With a fault hook installed the default loop falls back to
-/// per-cycle ticking (and the continuation loop stands down), so the
-/// trigger must mature at exactly the same cycle — same fired log,
-/// histogram, counters, and trace stream — under the naive and default
-/// loops. Sweeping the trigger across a contiguous window catches any
-/// cycle the coalesced path could jump over.
+/// stretch the default loop coalesces into one bulk clock advance. The
+/// armed default loop keeps its bulk ticks and its continuation loop,
+/// which stops once the clock reaches the engine's due cycle; the
+/// trigger must still be taken at exactly the same boundary — same
+/// fired log, histogram, counters, and trace stream — as in the naive
+/// loop, which polls at every boundary. The traced run pins the
+/// continuation loop; the board-only run ([`coalesced_run`]) pins the
+/// bulk ticks. Sweeping the trigger across a contiguous window catches
+/// any cycle a bulk advance could jump over.
 #[test]
 fn cycle_trigger_inside_a_bulk_tick_is_tier_invariant() {
     let params = small_profile(WorkloadKind::TimesharingLight, 41);
@@ -171,32 +208,49 @@ fn cycle_trigger_inside_a_bulk_tick_is_tier_invariant() {
         assert_eq!(run.histogram, naive.histogram, "histogram @{trigger}");
         assert_eq!(run.hw, naive.hw, "counters @{trigger}");
         assert_eq!(run.events, naive.events, "trace @{trigger}");
+        let coalesced = coalesced_run(&params, &plan, 1_500, 3_000);
+        assert_eq!(
+            coalesced,
+            (naive.fired, naive.histogram, naive.hw),
+            "coalesced run @{trigger}"
+        );
     }
 }
 
-/// Same audit for µPC-keyed triggers: the Nth issue of the decode
-/// micro-address lands inside what the shortcut paths batch into one
-/// issue run. Sweeping adjacent hit counts bisects the trigger into
-/// the middle of such a run; both loops must agree on when it fires.
+/// Same audit for µPC-keyed triggers. The Nth issue of the decode
+/// micro-address lands in the middle of a continuation run; the Nth
+/// issue of the TB-miss body (a 9-cycle µroutine body) lands inside
+/// what the default loop batches into one issue run, which the engine
+/// counts in one call. A trigger maturing in either place makes the
+/// engine due at once, so the continuation loop stops at the next
+/// boundary. Sweeping adjacent hit counts bisects the trigger into the
+/// middle of such runs; both loops must agree on when it fires, traced
+/// and ([`coalesced_run`]) batched.
 #[test]
 fn micro_pc_trigger_inside_a_batched_issue_run_is_tier_invariant() {
     let params = small_profile(WorkloadKind::Educational, 57);
     let cs = vax_ucode::ControlStore::build();
-    for hits in [40u32, 41, 42] {
-        let plan = FaultPlan::new().with(
-            FaultClass::TbCorrupt,
-            FaultTrigger::AtMicroPc {
-                addr: cs.ird1().value(),
-                hits,
-            },
-        );
-        let naive = injected_run(&params, CpuConfig::naive_loop(), &plan, 1_500, 3_000);
-        assert_eq!(naive.fired.len(), 1, "trigger @{hits} hits must mature");
-        let run = injected_run(&params, CpuConfig::default(), &plan, 1_500, 3_000);
-        assert_eq!(run.fired, naive.fired, "fired log @{hits} hits");
-        assert_eq!(run.histogram, naive.histogram, "histogram @{hits} hits");
-        assert_eq!(run.hw, naive.hw, "counters @{hits} hits");
-        assert_eq!(run.events, naive.events, "trace @{hits} hits");
+    for addr in [cs.ird1().value(), cs.tb_miss_body().value()] {
+        for hits in [40u32, 41, 42] {
+            let plan = FaultPlan::new().with(
+                FaultClass::TbCorrupt,
+                FaultTrigger::AtMicroPc { addr, hits },
+            );
+            let at = format!("@{addr:#x} x{hits}");
+            let naive = injected_run(&params, CpuConfig::naive_loop(), &plan, 1_500, 3_000);
+            assert_eq!(naive.fired.len(), 1, "trigger {at} must mature");
+            let run = injected_run(&params, CpuConfig::default(), &plan, 1_500, 3_000);
+            assert_eq!(run.fired, naive.fired, "fired log {at}");
+            assert_eq!(run.histogram, naive.histogram, "histogram {at}");
+            assert_eq!(run.hw, naive.hw, "counters {at}");
+            assert_eq!(run.events, naive.events, "trace {at}");
+            let coalesced = coalesced_run(&params, &plan, 1_500, 3_000);
+            assert_eq!(
+                coalesced,
+                (naive.fired, naive.histogram, naive.hw),
+                "coalesced run {at}"
+            );
+        }
     }
 }
 
@@ -204,8 +258,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For small random plans (random classes, seeds, and densities),
-    /// the injected run is reproducible bit for bit and the instruments
-    /// reconcile exactly.
+    /// the injected run is reproducible bit for bit, identical to the
+    /// naive loop's, and the instruments reconcile exactly.
     #[test]
     fn random_plans_are_deterministic_and_reconciled(
         kind in prop::sample::select(vec![
@@ -226,10 +280,16 @@ proptest! {
         let params = small_profile(kind, salt);
         let a = injected_run(&params, CpuConfig::default(), &plan, 1_500, 4_000);
         let b = injected_run(&params, CpuConfig::default(), &plan, 1_500, 4_000);
+        let naive = injected_run(&params, CpuConfig::naive_loop(), &plan, 1_500, 4_000);
         prop_assert_eq!(&a.fired, &b.fired);
         prop_assert_eq!(&a.histogram, &b.histogram);
         prop_assert_eq!(&a.hw, &b.hw);
         prop_assert_eq!(&a.events, &b.events);
+        prop_assert_eq!(&a.fired, &naive.fired);
+        prop_assert_eq!(&a.histogram, &naive.histogram);
+        prop_assert_eq!(&a.hw, &naive.hw);
+        prop_assert_eq!(&a.events, &naive.events);
+        prop_assert_eq!(a.pending_ib_tb_miss, naive.pending_ib_tb_miss);
         prop_assert!(a.reconciled, "injected run must reconcile");
         prop_assert_eq!(a.hw.machine_checks, a.fired.len() as u64);
         prop_assert_eq!(a.tracer_machine_checks, a.fired.len() as u64);
