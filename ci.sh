@@ -181,3 +181,15 @@ for W in characterize campaign faulted; do
         --workload "$W" --seed 1 --seconds 1 --trace 0 > "$CKPT_DIR/hostbench-$W.txt"
     tail -n 1 "$CKPT_DIR/hostbench-$W.txt" | grep -q '"correct": true'
 done
+
+# Request-path gate: one traced campaign run. A job server that sleeps
+# on its request path (an accept poll, a supervisor timeout) shows up as
+# hostbench's own per-layer `serve.wire_rtt_ms`, which must stay under
+# 5 ms (the 20 ms accept poll it replaced read 20.3 ms).
+cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- \
+    --workload campaign --seed 1 --seconds 1 --trace 1 > "$CKPT_DIR/hostbench-traced.txt"
+tail -n 1 "$CKPT_DIR/hostbench-traced.txt" | grep -q '"correct": true'
+RTT=$(tail -n 1 "$CKPT_DIR/hostbench-traced.txt" \
+    | sed -n 's/.*"serve\.wire_rtt_ms": {"value": \([-+.0-9eE]*\).*/\1/p')
+test -n "$RTT"
+awk -v rtt="$RTT" 'BEGIN { exit !(rtt + 0 < 5) }'

@@ -320,7 +320,8 @@ impl MapBuilder {
     }
 }
 
-/// Copy `data` into virtual memory at `va` via software walk.
+/// Copy `data` into virtual memory at `va` via software walk: one walk
+/// and one slice copy per page.
 ///
 /// # Panics
 ///
@@ -332,11 +333,18 @@ pub fn load_virtual(
     va: u32,
     data: &[u8],
 ) {
-    for (i, &b) in data.iter().enumerate() {
-        let va = va + i as u32;
+    let mut rest = data;
+    let mut va = va;
+    while !rest.is_empty() {
         let pa = resolve_va(phys, sys, space, va)
             .unwrap_or_else(|| panic!("load_virtual: {va:#010x} unmapped"));
-        phys.write_u8(pa, b);
+        let run = rest
+            .len()
+            .min((PAGE_BYTES - (va & (PAGE_BYTES - 1))) as usize);
+        let (page, tail) = rest.split_at(run);
+        phys.load(pa, page);
+        rest = tail;
+        va = va.wrapping_add(run as u32);
     }
 }
 

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use vax_mem::{
-    load_virtual, resolve_va, Cache, CacheConfig, MapBuilder, MemConfig, MemorySubsystem, Stream,
-    Tb, TbConfig, Width, PAGE_BYTES,
+    load_virtual, resolve_va, Cache, CacheConfig, MapBuilder, MemConfig, MemorySubsystem, PhysMem,
+    Stream, Tb, TbConfig, Width, PAGE_BYTES,
 };
 
 fn small_machine() -> MemorySubsystem {
@@ -16,6 +16,73 @@ fn small_machine() -> MemorySubsystem {
     mem.set_system_map(sys);
     mem.switch_address_space(space);
     mem
+}
+
+/// One access to physical memory, at a width of 1, 2, 4 or 8 bytes.
+#[derive(Debug, Clone)]
+enum PhysOp {
+    Write { width: u32, pa: u32, value: u64 },
+    Load { pa: u32, data: Vec<u8> },
+    Read { width: u32, pa: u32 },
+}
+
+/// Addresses that stress a memory of `size` bytes: anywhere, just below
+/// the top (multi-byte accesses there wrap to 0), and around each power
+/// of two (where the written prefix grows).
+fn phys_address(size: u32) -> BoxedStrategy<u32> {
+    let mask = size - 1;
+    prop_oneof![
+        0..size,
+        (size - 16)..size,
+        (0..size.trailing_zeros() + 1, 0u32..32)
+            .prop_map(move |(bit, k)| (1u32 << bit).wrapping_sub(16).wrapping_add(k) & mask),
+    ]
+    .boxed()
+}
+
+fn phys_op(size: u32) -> BoxedStrategy<PhysOp> {
+    let width = || prop::sample::select(vec![1u32, 2, 4, 8]);
+    prop_oneof![
+        (width(), phys_address(size), any::<u64>()).prop_map(|(width, pa, value)| PhysOp::Write {
+            width,
+            pa,
+            value
+        }),
+        (
+            phys_address(size),
+            prop::collection::vec(any::<u8>(), 0..1_500)
+        )
+            .prop_map(|(pa, data)| PhysOp::Load { pa, data }),
+        (width(), phys_address(size)).prop_map(|(width, pa)| PhysOp::Read { width, pa }),
+    ]
+    .boxed()
+}
+
+/// A memory size (4 KiB to 1 MiB, so under and over the 64 KiB
+/// smallest prefix) with an access sequence for it.
+fn phys_program() -> impl Strategy<Value = (u32, Vec<PhysOp>)> {
+    prop::sample::select(vec![12u32, 13, 16, 17, 20]).prop_flat_map(|log| {
+        let size = 1u32 << log;
+        (Just(size), prop::collection::vec(phys_op(size), 1..60))
+    })
+}
+
+/// Read `width` bytes at `pa` from the memory under test.
+fn phys_read(mem: &PhysMem, width: u32, pa: u32) -> u64 {
+    match width {
+        1 => u64::from(mem.read_u8(pa)),
+        2 => u64::from(mem.read_u16(pa)),
+        4 => u64::from(mem.read_u32(pa)),
+        _ => mem.read_u64(pa),
+    }
+}
+
+/// Read `width` little-endian bytes at `pa` from the dense reference.
+fn dense_read(dense: &[u8], width: u32, pa: u32) -> u64 {
+    let mask = dense.len() - 1;
+    (0..width as usize).fold(0, |v, k| {
+        v | u64::from(dense[(pa as usize + k) & mask]) << (8 * k)
+    })
 }
 
 proptest! {
@@ -62,11 +129,13 @@ proptest! {
         prop_assert!(tb.valid_entries() <= 128);
     }
 
-    /// Virtual loads round-trip through the page tables byte-exactly.
+    /// Virtual loads round-trip through the page tables byte-exactly,
+    /// including loads of several pages from a start inside a page, and
+    /// touch nothing on either side of the range.
     #[test]
     fn load_virtual_round_trips(
         offset in 0u32..30_000,
-        data in prop::collection::vec(any::<u8>(), 1..200),
+        data in prop::collection::vec(any::<u8>(), 1..2_600),
     ) {
         let mut mem = MemorySubsystem::new(MemConfig::default());
         let mut mb = MapBuilder::new(mem.phys(), 4096);
@@ -80,6 +149,61 @@ proptest! {
         for (i, &b) in data.iter().enumerate() {
             let pa = resolve_va(mem.phys(), &sys, &space, va + i as u32).unwrap();
             prop_assert_eq!(mem.phys().read_u8(pa), b);
+        }
+        for outside in [va - 1, va + data.len() as u32] {
+            let pa = resolve_va(mem.phys(), &sys, &space, outside).unwrap();
+            prop_assert_eq!(mem.phys().read_u8(pa), 0);
+        }
+    }
+
+    /// Physical memory that holds only its written prefix reads back
+    /// exactly what a dense zero-filled array does, at every width,
+    /// across the prefix's end and through the wrap at the top; its size
+    /// stays the configured one.
+    #[test]
+    fn grow_on_write_matches_dense_memory((size, ops) in phys_program()) {
+        let mut mem = PhysMem::new(size);
+        let mut dense = vec![0u8; size as usize];
+        let mask = size - 1;
+        let mut touched = Vec::new();
+        for op in &ops {
+            match op {
+                PhysOp::Write { width, pa, value } => {
+                    match width {
+                        1 => mem.write_u8(*pa, *value as u8),
+                        2 => mem.write_u16(*pa, *value as u16),
+                        4 => mem.write_u32(*pa, *value as u32),
+                        _ => mem.write_u64(*pa, *value),
+                    }
+                    for k in 0..*width {
+                        dense[(pa.wrapping_add(k) & mask) as usize] = (value >> (8 * k)) as u8;
+                    }
+                    touched.push((*pa, *width));
+                }
+                PhysOp::Load { pa, data } => {
+                    mem.load(*pa, data);
+                    for (k, &b) in data.iter().enumerate() {
+                        dense[(pa.wrapping_add(k as u32) & mask) as usize] = b;
+                    }
+                    touched.push((*pa, data.len() as u32));
+                }
+                PhysOp::Read { width, pa } => {
+                    prop_assert_eq!(
+                        phys_read(&mem, *width, *pa),
+                        dense_read(&dense, *width, *pa),
+                        "{}-byte read at {:#x}", width, pa
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(mem.size(), size);
+        // Every byte written, and a margin on each side (never written,
+        // so zero unless another access wrote it).
+        for &(pa, len) in &touched {
+            for k in 0..len + 32 {
+                let a = pa.wrapping_add(k).wrapping_sub(16) & mask;
+                prop_assert_eq!(mem.read_u8(a), dense[a as usize], "byte at {:#x}", a);
+            }
         }
     }
 

@@ -160,6 +160,21 @@ impl Shared {
         self.cv.notify_all();
     }
 
+    /// Pop the next queued job the journal still holds pending, with its
+    /// spec and the attempts it has already started. A queued id that is
+    /// no longer pending is dropped with a notification, as every change
+    /// that empties the queue or the running set must notify: the
+    /// supervisor waits without a timeout for a draining queue to settle.
+    fn pop_pending(&self, st: &mut State) -> Option<(JobId, JobSpec, u32)> {
+        while let Some(id) = st.queue.pop_front() {
+            if let Some((spec, starts)) = st.journal.pending_job(id) {
+                return Some((id, spec.clone(), starts));
+            }
+            self.cv.notify_all();
+        }
+        None
+    }
+
     /// Fold the settled tail into the snapshot once it is heavy enough.
     /// Best-effort: a failed compaction leaves the journal exactly as
     /// it was (write-new-then-rename), so the server keeps running.
@@ -235,48 +250,40 @@ pub fn run_server(
             std::thread::spawn(move || worker_loop(&shared, executor.as_ref(), index))
         })
         .collect();
-    let listener_handle = listener.map(|listener| {
+    // The listener blocks in `accept` and checks for a shutdown after
+    // each one returns; once the server stops, one connection of the
+    // supervisor's own wakes it.
+    let listener_thread = listener.map(|listener| {
+        let wake = listener.local_endpoint();
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
+        let handle = std::thread::spawn(move || loop {
+            let conn = listener.accept();
             if shared.lock().shutdown {
                 break;
             }
-            match listener.accept() {
-                Ok(Some(conn)) => {
+            match conn {
+                Ok(conn) => {
                     let shared = Arc::clone(&shared);
                     std::thread::spawn(move || handle_conn(&shared, conn));
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
+                // Out of descriptors and the like: back off rather
+                // than spin a core on an accept that keeps failing.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
-        })
+        });
+        (handle, wake)
     });
 
-    // Supervisor: wait for a shutdown, or for a draining queue to
-    // settle completely.
-    {
-        let mut st = shared.lock();
-        loop {
-            if st.shutdown {
-                break;
-            }
-            if st.draining && st.queue.is_empty() && st.running.is_empty() {
-                st.shutdown = true;
-                shared.cv.notify_all();
-                break;
-            }
-            st = shared
-                .cv
-                .wait_timeout(st, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
+    await_stop(&shared, shared.lock());
     for handle in worker_handles {
         let _ = handle.join();
     }
-    if let Some(handle) = listener_handle {
-        let _ = handle.join();
+    if let Some((handle, wake)) = listener_thread {
+        // A listener that cannot be dialed (its socket file deleted,
+        // say) stays blocked in `accept`: leave it rather than hang.
+        if wake.and_then(|e| e.connect(Duration::ZERO)).is_ok() {
+            let _ = handle.join();
+        }
     }
     if let Some(Endpoint::Unix(path)) = endpoint {
         let _ = std::fs::remove_file(path);
@@ -297,6 +304,21 @@ pub fn run_server(
     })
 }
 
+/// Block, starting from the locked state `st`, until the server should
+/// stop: a shutdown, or a draining queue settled completely, which this
+/// call turns into the shutdown. Every change that can make either true
+/// notifies the condvar, so the wait has no timeout.
+fn await_stop(shared: &Shared, mut st: MutexGuard<'_, State>) {
+    while !st.shutdown {
+        if st.draining && st.queue.is_empty() && st.running.is_empty() {
+            st.shutdown = true;
+            shared.cv.notify_all();
+            break;
+        }
+        st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+    }
+}
+
 fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
     let mut metrics = SelfMetrics::new();
     let mut cum_cycles = 0u64;
@@ -310,12 +332,7 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
                     st.worker_metrics[index] = metrics;
                     return;
                 }
-                if let Some(id) = st.queue.pop_front() {
-                    let Some((spec, starts)) =
-                        st.journal.pending_job(id).map(|(s, k)| (s.clone(), k))
-                    else {
-                        continue;
-                    };
+                if let Some((id, spec, starts)) = shared.pop_pending(&mut st) {
                     st.running.insert(id);
                     break (id, spec, starts);
                 }
@@ -367,6 +384,7 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
                             if st.shutdown {
                                 st.running.remove(&id);
                                 st.worker_metrics[index] = metrics;
+                                shared.cv.notify_all();
                                 return;
                             }
                         }
@@ -632,7 +650,7 @@ fn handle_claim(
         if st.shutdown {
             return writeln!(writer, "gone");
         }
-        let Some(id) = st.queue.pop_front() else {
+        let Some((id, spec, starts)) = shared.pop_pending(&mut st) else {
             // `drain` only finishes once running jobs settle, so tell a
             // draining server's workers to leave rather than idle.
             return if st.draining {
@@ -640,9 +658,6 @@ fn handle_claim(
             } else {
                 writeln!(writer, "idle")
             };
-        };
-        let Some((spec, starts)) = st.journal.pending_job(id).map(|(s, k)| (s.clone(), k)) else {
-            return writeln!(writer, "idle");
         };
         let attempt = starts + 1;
         if let Err(e) = st.journal.append_start(id, attempt) {
@@ -1074,6 +1089,153 @@ mod tests {
         assert_eq!(text.lines().count(), 2, "{text}");
         assert!(text.ends_with("end\n"), "{text}");
         assert!(shared.lock().shutdown);
+    }
+
+    /// Run `pop` against a draining server whose queue holds one id the
+    /// journal already settled, while the supervisor waits: dropping
+    /// that id must wake the supervisor, which has no timeout to fall
+    /// back on.
+    fn assert_stale_pop_wakes_supervisor(name: &str, pop: impl FnOnce(&Shared) + Send + 'static) {
+        let dir = tempdir(name);
+        let journal_path = dir.join("queue.journal");
+        {
+            let mut j = Journal::open(&journal_path).unwrap();
+            let id = j
+                .append_enqueue(&quick_spec(WorkloadKind::TimesharingLight, 1))
+                .unwrap();
+            j.append_start(id, 1).unwrap();
+            j.append_fail(id, 1, "settled elsewhere").unwrap();
+        }
+        let shared = Arc::new(test_shared(Journal::open(&journal_path).unwrap(), 10, None));
+        {
+            let mut st = shared.lock();
+            st.draining = true;
+            st.queue.push_back(1);
+            st.worker_metrics = vec![SelfMetrics::new()];
+        }
+        // The supervisor holds the lock from before it signals `ready`
+        // until its wait releases it, so the pop lands while it waits.
+        let (ready, await_ready) = std::sync::mpsc::channel();
+        let (stopped, await_stopped) = std::sync::mpsc::channel();
+        let supervisor = Arc::clone(&shared);
+        let supervisor = std::thread::spawn(move || {
+            let st = supervisor.lock();
+            ready.send(()).unwrap();
+            await_stop(&supervisor, st);
+            stopped.send(()).unwrap();
+        });
+        let popper = Arc::clone(&shared);
+        let popped = std::thread::spawn(move || {
+            await_ready.recv().unwrap();
+            pop(&popper);
+        });
+        await_stopped
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the supervisor stops once the queue empties");
+        supervisor.join().unwrap();
+        popped.join().unwrap();
+        let st = shared.lock();
+        assert!(st.shutdown && st.queue.is_empty() && st.running.is_empty());
+    }
+
+    /// Bug-sweep pin: popping a queued id the journal no longer holds
+    /// pending empties the queue, so it must notify — from a local
+    /// worker and from a remote `claim` alike.
+    #[test]
+    fn dropping_a_settled_queued_id_wakes_the_supervisor() {
+        assert_stale_pop_wakes_supervisor("vax-serve-stale-worker", |shared| {
+            // The worker returns once the supervisor declares shutdown.
+            worker_loop(shared, &InProcessExecutor, 0);
+        });
+        assert_stale_pop_wakes_supervisor("vax-serve-stale-claim", |shared| {
+            let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+            let mut reader = BufReader::new(Conn::Unix(ours));
+            handle_claim(shared, &mut reader, &mut Conn::Unix(theirs)).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert_eq!(reply, "gone\n");
+        });
+    }
+
+    /// Start an idle listening server on `endpoint`; the handle returns
+    /// `run_server`'s result over a channel.
+    fn spawn_idle_server(
+        dir: &Path,
+        endpoint: &Endpoint,
+    ) -> std::sync::mpsc::Receiver<Result<ServerReport, ServeError>> {
+        let config = ServeConfig {
+            journal: dir.join("queue.journal"),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let endpoint = endpoint.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_server(
+                &config,
+                Some(&endpoint),
+                Arc::new(InProcessExecutor),
+            ));
+        });
+        rx
+    }
+
+    /// `shutdown` ends a server blocked in `accept` promptly: the
+    /// supervisor's own connection wakes the listener, over a Unix
+    /// socket and over TCP.
+    #[test]
+    fn shutdown_wakes_the_blocked_listener() {
+        let dir = tempdir("vax-serve-wake");
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .port();
+        for endpoint in [
+            Endpoint::Unix(dir.join("s.sock")),
+            Endpoint::Tcp(format!("127.0.0.1:{port}")),
+        ] {
+            let server = spawn_idle_server(&dir, &endpoint);
+            let client = crate::wire::Client::new(endpoint.clone(), Duration::from_secs(5));
+            assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+            let report = server
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("{endpoint}: run_server still running 2 s on"))
+                .unwrap();
+            assert_eq!((report.done, report.failed), (0, 0));
+        }
+        assert!(!dir.join("s.sock").exists(), "the socket file is removed");
+    }
+
+    /// No sleep on the request path: an idle server answers each
+    /// request as soon as it connects, so 100 round trips take far less
+    /// than 100 accept polls would.
+    #[test]
+    fn status_round_trips_pay_no_sleep_floor() {
+        let dir = tempdir("vax-serve-rtt");
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let server = spawn_idle_server(&dir, &endpoint);
+        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        // The first request also waits for the server to bind.
+        client
+            .request_stream("status", &mut std::io::sink())
+            .unwrap();
+        let started = Instant::now();
+        for _ in 0..100 {
+            client
+                .request_stream("status", &mut std::io::sink())
+                .unwrap();
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "100 round trips took {elapsed:?}"
+        );
+        client.request_line("shutdown").unwrap();
+        server
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap()
+            .unwrap();
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl Endpoint {
         Endpoint::Unix(PathBuf::from(s))
     }
 
-    /// Bind a listener, removing a stale Unix socket file first.
+    /// Bind a blocking listener, removing a stale Unix socket file
+    /// first.
     ///
     /// # Errors
     ///
@@ -74,15 +75,9 @@ impl Endpoint {
                 // socket file behind; binding over it would fail even
                 // though nobody is listening.
                 let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                Ok(Listener::Unix(listener))
+                Ok(Listener::Unix(UnixListener::bind(path)?))
             }
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Ok(Listener::Tcp(listener))
-            }
+            Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
         }
     }
 
@@ -108,7 +103,7 @@ impl Endpoint {
     }
 }
 
-/// A bound, non-blocking listener.
+/// A bound, blocking listener.
 #[derive(Debug)]
 pub enum Listener {
     /// Unix-domain socket.
@@ -118,23 +113,34 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Accept one connection if one is ready (non-blocking).
+    /// Accept one connection, blocking until a client connects.
     ///
     /// # Errors
     ///
-    /// Accept errors other than `WouldBlock` (which yields `Ok(None)`).
-    pub fn accept(&self) -> io::Result<Option<Conn>> {
-        let conn = match self {
+    /// The underlying accept error.
+    pub fn accept(&self) -> io::Result<Conn> {
+        match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-        };
-        match conn {
-            Ok(conn) => {
-                conn.set_blocking()?;
-                Ok(Some(conn))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+        }
+    }
+
+    /// Where a client reaches this listener: the socket path, or the
+    /// bound TCP address with its real port (so a listener bound to
+    /// port 0 can be dialed).
+    ///
+    /// # Errors
+    ///
+    /// The underlying `local_addr` error, or `AddrNotAvailable` for an
+    /// unnamed Unix socket.
+    pub fn local_endpoint(&self) -> io::Result<Endpoint> {
+        match self {
+            Listener::Unix(l) => l
+                .local_addr()?
+                .as_pathname()
+                .map(|path| Endpoint::Unix(path.to_path_buf()))
+                .ok_or_else(|| io::Error::from(io::ErrorKind::AddrNotAvailable)),
+            Listener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?.to_string())),
         }
     }
 }
@@ -149,13 +155,6 @@ pub enum Conn {
 }
 
 impl Conn {
-    fn set_blocking(&self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_nonblocking(false),
-            Conn::Tcp(s) => s.set_nonblocking(false),
-        }
-    }
-
     /// Bound how long reads may block (`None` = forever).
     ///
     /// # Errors
@@ -305,21 +304,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let endpoint = Endpoint::Unix(dir.join("s.sock"));
         let listener = endpoint.bind().unwrap();
-        let server_endpoint = endpoint.clone();
+        assert_eq!(listener.local_endpoint().unwrap(), endpoint);
         let server = std::thread::spawn(move || {
-            let _ = &server_endpoint;
-            loop {
-                if let Some(conn) = listener.accept().unwrap() {
-                    let (mut reader, mut writer) = conn.split().unwrap();
-                    let mut line = String::new();
-                    reader.read_line(&mut line).unwrap();
-                    assert_eq!(line.trim_end(), "status");
-                    writeln!(writer, "ok pending 0").unwrap();
-                    writeln!(writer, "end").unwrap();
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            let (mut reader, mut writer) = listener.accept().unwrap().split().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), "status");
+            writeln!(writer, "ok pending 0").unwrap();
+            writeln!(writer, "end").unwrap();
         });
         let client = Client::new(endpoint, Duration::from_secs(2));
         let mut out = Vec::new();
@@ -327,6 +319,19 @@ mod tests {
         assert_eq!(lines, 1);
         assert_eq!(String::from_utf8(out).unwrap(), "ok pending 0\n");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_local_endpoint_reports_the_bound_port() {
+        let listener = Endpoint::Tcp("0.0.0.0:0".to_string()).bind().unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let Endpoint::Tcp(addr) = &endpoint else {
+            panic!("a TCP listener reports a TCP endpoint");
+        };
+        assert!(!addr.ends_with(":0"), "{addr}");
+        // The reported endpoint is dialable, wildcard address and all.
+        endpoint.connect(Duration::ZERO).unwrap();
+        listener.accept().unwrap();
     }
 
     #[test]
