@@ -56,6 +56,22 @@ diff "$CKPT_DIR/uninterrupted.txt" "$CKPT_DIR/resumed.txt"
 "$VAX780" status --queue "$CKPT_DIR/campaign.journal" \
     | grep -q 'pending 0 done 5 failed 0'
 
+# Sweep gate: a sweep is a campaign of one job per point x workload on
+# the same engine. One worker and two print the same table, the
+# unified-TB point (`tb-split=0`) is among its rows, and the private
+# journal directories `sweep` and `run` make under TMPDIR are gone when
+# they exit.
+mkdir "$CKPT_DIR/tmp"
+TMPDIR="$CKPT_DIR/tmp" "$VAX780" sweep --workload educational --instructions 5000 \
+    --warmup 1500 --axis tb-split --axis write-buffer --serial > "$CKPT_DIR/sweep-serial.txt"
+TMPDIR="$CKPT_DIR/tmp" "$VAX780" sweep --workload educational --instructions 5000 \
+    --warmup 1500 --axis tb-split --axis write-buffer --jobs 2 > "$CKPT_DIR/sweep-jobs2.txt"
+diff "$CKPT_DIR/sweep-serial.txt" "$CKPT_DIR/sweep-jobs2.txt"
+grep -q '^tb-unified ' "$CKPT_DIR/sweep-serial.txt"
+TMPDIR="$CKPT_DIR/tmp" "$VAX780" run --workload all --instructions 5000 \
+    --warmup 1500 > /dev/null
+test -z "$(ls -A "$CKPT_DIR/tmp")"
+
 # Serve gate: the job queue must survive kill -9. Start a server, feed
 # it a mixed batch (one fault-plan job included) over its socket,
 # SIGKILL it mid-queue, then settle the same journal offline — the

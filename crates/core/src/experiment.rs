@@ -3,7 +3,7 @@
 use std::time::Instant;
 use upc_monitor::{Command, Histogram, HistogramBoard, NullSink};
 use vax_analysis::Analysis;
-use vax_cpu::CpuConfig;
+use vax_cpu::{CpuConfig, CpuError};
 use vax_fault::{FaultEngine, FaultPlan};
 use vax_mem::{HwCounters, MemConfig};
 use vax_ucode::ControlStore;
@@ -76,15 +76,20 @@ impl Experiment {
     /// # Panics
     ///
     /// Panics if the machine halts or faults unrecoverably — generated
-    /// workloads never do; such a panic is a model bug.
+    /// workloads never should; such a panic is a model bug.
     pub fn run(&self) -> MeasuredWorkload {
-        self.run_until(None).expect("no deadline to miss")
+        self.run_until(None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Experiment::run`], but `None` once `deadline` has passed: the
+    /// [`Experiment::run`], but stopped once `deadline` has passed: the
     /// warm-up and measurement loops read the clock between steps when
-    /// a deadline is set. Panics as `run` does.
-    pub fn run_until(&self, deadline: Option<Instant>) -> Option<MeasuredWorkload> {
+    /// a deadline is set.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Deadline`] once the deadline has passed, or
+    /// [`RunError::Fault`] if the machine halts or faults unrecoverably.
+    pub fn run_until(&self, deadline: Option<Instant>) -> Result<MeasuredWorkload, RunError> {
         // Debug builds refuse structurally broken workloads up front;
         // release campaigns skip the analysis cost. The gate memoizes
         // per (profile, seed), so sweeps pay it once.
@@ -96,12 +101,10 @@ impl Experiment {
         let target = machine.cpu.instructions() + self.warmup_instructions;
         while machine.cpu.instructions() < target {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
+                return Err(RunError::Deadline);
             }
             let remaining = target - machine.cpu.instructions();
-            machine
-                .step_budgeted(remaining, &mut null)
-                .expect("warmup runs");
+            machine.step_budgeted(remaining, &mut null)?;
         }
         if let Some(plan) = &self.fault_plan {
             machine
@@ -127,15 +130,16 @@ impl Experiment {
 ///
 /// Panics if the machine halts or faults unrecoverably (a model bug).
 pub fn measure(machine: &mut vax_workloads::Machine, instructions: u64) -> MeasuredWorkload {
-    measure_until(machine, instructions, None).expect("no deadline to miss")
+    measure_until(machine, instructions, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`measure`], but `None` once `deadline` has passed.
+/// [`measure`], but stopped once `deadline` has passed, and a fault
+/// returned rather than raised.
 fn measure_until(
     machine: &mut vax_workloads::Machine,
     instructions: u64,
     deadline: Option<Instant>,
-) -> Option<MeasuredWorkload> {
+) -> Result<MeasuredWorkload, RunError> {
     let mut null = NullSink;
     // Measurement boundary: clear the second instrument too, and arm
     // any installed fault engine so trigger offsets count from here.
@@ -148,13 +152,13 @@ fn measure_until(
     board.execute(Command::Start);
     while machine.cpu.instructions() - insns_before < instructions {
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return None;
+            return Err(RunError::Deadline);
         }
         if machine.at_idle() {
             // One step at a time: the idle exclusion is re-evaluated at
             // every instruction boundary.
             let suspended = *machine.cpu.mem().counters();
-            machine.step(&mut null).expect("workload runs");
+            machine.step(&mut null)?;
             *machine.cpu.mem_mut().counters_mut() = suspended;
         } else {
             // Busy: let the continuation loop retire a run, but never
@@ -163,20 +167,45 @@ fn measure_until(
             // is resume-unsafe and so ends the run — so the exclusion
             // stays exact.
             let remaining = instructions - (machine.cpu.instructions() - insns_before);
-            machine
-                .step_budgeted(remaining, &mut board)
-                .expect("workload runs");
+            machine.step_budgeted(remaining, &mut board)?;
         }
     }
     board.execute(Command::Stop);
 
-    Some(MeasuredWorkload {
+    Ok(MeasuredWorkload {
         name: machine.name,
         histogram: board.into_histogram(),
         counters: *machine.cpu.mem().counters(),
         instructions: machine.cpu.instructions() - insns_before,
         cycles: machine.cpu.now() - cycles_before,
     })
+}
+
+/// Why a run stopped without a measurement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The deadline passed before the run finished.
+    Deadline,
+    /// The machine halted or faulted unrecoverably. Generated workloads
+    /// never should; the error names the fault, its address and the pc.
+    Fault(CpuError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Deadline => write!(f, "deadline passed"),
+            RunError::Fault(e) => write!(f, "workload fault: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<CpuError> for RunError {
+    fn from(e: CpuError) -> RunError {
+        RunError::Fault(e)
+    }
 }
 
 /// The outcome of one measured workload.
@@ -195,6 +224,26 @@ pub struct MeasuredWorkload {
 }
 
 impl MeasuredWorkload {
+    /// The composite of `parts`, "the sum of the five µPC histograms"
+    /// (§2.2): histograms and counters merged, lengths summed, in the
+    /// order given.
+    pub fn composite(parts: &[MeasuredWorkload]) -> MeasuredWorkload {
+        let mut sum = MeasuredWorkload {
+            name: "composite",
+            histogram: Histogram::new(),
+            counters: HwCounters::new(),
+            instructions: 0,
+            cycles: 0,
+        };
+        for part in parts {
+            sum.histogram.merge(&part.histogram);
+            sum.counters.merge(&part.counters);
+            sum.instructions += part.instructions;
+            sum.cycles += part.cycles;
+        }
+        sum
+    }
+
     /// Digest with the standard microcode listing.
     pub fn analysis(&self) -> Analysis {
         let cs = ControlStore::build();
@@ -233,10 +282,13 @@ mod tests {
         let exp = Experiment::new(WorkloadKind::TimesharingHeavy)
             .warmup(1_000)
             .instructions(50_000_000);
-        assert!(exp.run_until(Some(started)).is_none());
+        assert_eq!(exp.run_until(Some(started)).err(), Some(RunError::Deadline));
         let mut machine = vax_workloads::build_machine(&profile(WorkloadKind::SciEng));
         let before = machine.cpu.instructions();
-        assert!(measure_until(&mut machine, 50_000_000, Some(started)).is_none());
+        assert_eq!(
+            measure_until(&mut machine, 50_000_000, Some(started)).err(),
+            Some(RunError::Deadline)
+        );
         assert_eq!(machine.cpu.instructions(), before, "nothing simulated");
         assert!(
             started.elapsed().as_secs() < 30,

@@ -6,6 +6,13 @@
 //! for each of the five workloads and for their composite, "the sum of
 //! the five µPC histograms" (§2.2).
 //!
+//! This crate is the simulation and its reductions only: it starts no
+//! threads and touches no files. A workload fault comes back as a typed
+//! [`RunError`]. Campaigns with workers, retries or a journal run through
+//! the `vax-serve` queue; [`CompositeStudy::run`] and
+//! [`sweep::SweepGrid`] are the serial reference and the what-if grid it
+//! measures.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -26,8 +33,5 @@ mod experiment;
 mod study;
 pub mod sweep;
 
-pub use experiment::{measure, Experiment, MeasuredWorkload};
-pub use study::{
-    default_workers, CampaignMetrics, CampaignOutcome, CompositeStudy, JobFailure, RetryPolicy,
-    MAX_JOB_ATTEMPTS,
-};
+pub use experiment::{measure, Experiment, MeasuredWorkload, RunError};
+pub use study::{CampaignMetrics, CompositeStudy, RetryPolicy, MAX_JOB_ATTEMPTS};

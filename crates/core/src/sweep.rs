@@ -1,26 +1,24 @@
-//! Configuration sweep engine: the §6 what-if analyses, re-simulated.
+//! Configuration sweep grid: the §6 what-if analyses, re-simulated.
 //!
 //! The paper asks "what if the cache were bigger / the TB unified / the
 //! write buffer deeper / decode overlapped?" and answers by arithmetic
 //! on Table 8. Here we answer by *measurement*: a [`SweepGrid`] fans a
-//! set of [`CpuConfig`]/[`MemConfig`] ablations into [`SweepPoint`]s, a
-//! [`Sweep`] runs each point's workload composite across a bounded
-//! worker pool (every point owns its machines, seeds, and sinks — the
-//! fan-out is embarrassingly parallel), and the results reduce to
-//! [`vax_analysis::sweep::SweepRow`]s for the table/CSV/JSONL reports.
+//! set of [`CpuConfig`]/[`MemConfig`] ablations into [`SweepPoint`]s.
+//! The campaign engine in `vax-serve` measures each point's workload
+//! composite as one job per workload and reduces every point to a
+//! [`SweepRow`] for the table/CSV/JSONL reports.
 //!
-//! Determinism: points are generated in a fixed order, every experiment
-//! is seeded, and results land in per-point slots — repeated runs of the
-//! same grid produce identical rows (host wall-time fields aside).
+//! Determinism: points are generated in a fixed order and every
+//! experiment is seeded, so repeated sweeps of the same grid produce
+//! identical rows (host wall-time fields aside).
 
-use crate::study::{default_workers, run_jobs, CampaignMetrics, HasSimWork};
-use crate::{CompositeStudy, MeasuredWorkload};
-use std::time::Instant;
-use vax_analysis::sweep::SweepRow;
-use vax_analysis::Analysis;
 use vax_cpu::CpuConfig;
-use vax_mem::{HwCounters, MemConfig};
-use vax_workloads::WorkloadKind;
+use vax_mem::MemConfig;
+
+/// The reduced row of one measured point (re-exported from
+/// `vax-analysis`, so an engine that runs a sweep can build rows
+/// without depending on the analysis crate).
+pub use vax_analysis::sweep::SweepRow;
 
 /// One ablation axis of the sweep grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,159 +214,6 @@ impl SweepGrid {
     }
 }
 
-/// The sweep runner: a grid, the workloads to measure at each point, and
-/// the worker budget.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    grid: SweepGrid,
-    kinds: Vec<WorkloadKind>,
-    instructions_each: u64,
-    warmup_each: u64,
-    workers: Option<usize>,
-}
-
-impl Sweep {
-    /// Sweep the grid measuring all five workloads per point.
-    pub fn new(grid: SweepGrid, instructions_each: u64) -> Sweep {
-        Sweep {
-            grid,
-            kinds: WorkloadKind::ALL.to_vec(),
-            instructions_each,
-            warmup_each: 30_000,
-            workers: None,
-        }
-    }
-
-    /// Restrict the per-point composite to a subset of workloads.
-    pub fn with_kinds(mut self, kinds: &[WorkloadKind]) -> Sweep {
-        self.kinds = kinds.to_vec();
-        self
-    }
-
-    /// Set the per-workload warmup at each point.
-    pub fn warmup(mut self, n: u64) -> Sweep {
-        self.warmup_each = n;
-        self
-    }
-
-    /// Cap the worker pool (default: one worker per host core, at most
-    /// one per point). `1` forces the serial path.
-    pub fn max_workers(mut self, n: usize) -> Sweep {
-        self.workers = Some(n.max(1));
-        self
-    }
-
-    /// Run every point and reduce. Points fan across the worker pool;
-    /// within a point the workloads run serially (the grid, not the
-    /// composite, is the parallel axis — sweeps have far more points
-    /// than a composite has workloads).
-    pub fn run(&self) -> SweepOutcome {
-        let n = self.grid.len();
-        let workers = self
-            .workers
-            .unwrap_or_else(|| default_workers(n))
-            .clamp(1, n.max(1));
-        let started = Instant::now();
-        let (points, worker_metrics) = run_jobs(
-            workers,
-            n,
-            |i| self.grid.points[i].label.clone(),
-            |i| self.run_point(&self.grid.points[i]),
-        );
-        let metrics = CampaignMetrics {
-            workers: worker_metrics,
-            wall: started.elapsed(),
-        };
-        let rows = points
-            .iter()
-            .map(|p| {
-                SweepRow::from_analysis(
-                    p.point.label.clone(),
-                    p.point.axis,
-                    &p.analysis,
-                    p.wall,
-                    p.sim_instructions,
-                )
-            })
-            .collect();
-        SweepOutcome {
-            rows,
-            points,
-            metrics,
-        }
-    }
-
-    fn run_point(&self, point: &SweepPoint) -> PointResult {
-        let started = Instant::now();
-        let (results, analysis) = CompositeStudy::new(self.instructions_each)
-            .warmup(self.warmup_each)
-            .with_kinds(&self.kinds)
-            .cpu_config(point.cpu)
-            .mem_config(point.mem)
-            .max_workers(1)
-            .run_serial();
-        // Simulated work includes warmup: the host paid for it.
-        let sim_instructions: u64 = results
-            .iter()
-            .map(|r| r.instructions + self.warmup_each)
-            .sum();
-        PointResult {
-            point: point.clone(),
-            sim_cycles: results.iter().map(|r| r.cycles).sum(),
-            sim_instructions,
-            analysis,
-            results,
-            wall: started.elapsed(),
-        }
-    }
-}
-
-/// One measured sweep point: the composite analysis plus the raw
-/// per-workload measurements.
-#[derive(Debug, Clone)]
-pub struct PointResult {
-    /// The configuration measured.
-    pub point: SweepPoint,
-    /// Composite analysis at this point.
-    pub analysis: Analysis,
-    /// Per-workload measurements (workload order).
-    pub results: Vec<MeasuredWorkload>,
-    /// Simulated cycles across the point's workloads (measured phase).
-    pub sim_cycles: u64,
-    /// Simulated instructions including warmup (self-metrics).
-    pub sim_instructions: u64,
-    /// Host wall time spent on this point.
-    pub wall: std::time::Duration,
-}
-
-impl HasSimWork for PointResult {
-    fn sim_work(&self) -> (u64, u64) {
-        (self.sim_cycles, self.sim_instructions)
-    }
-}
-
-/// Everything a sweep produces.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Reduced rows, grid order, baseline first.
-    pub rows: Vec<SweepRow>,
-    /// Full per-point results, grid order.
-    pub points: Vec<PointResult>,
-    /// Host-side self-metrics: per-worker phases, wall, speedup.
-    pub metrics: CampaignMetrics,
-}
-
-impl SweepOutcome {
-    /// The merged hardware counters of one point (diagnostics).
-    pub fn counters(&self, index: usize) -> HwCounters {
-        let mut c = HwCounters::new();
-        for r in &self.points[index].results {
-            c.merge(&r.counters);
-        }
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,22 +242,5 @@ mod tests {
         for p in SweepGrid::all().points() {
             p.mem.validate();
         }
-    }
-
-    #[test]
-    fn small_sweep_runs_and_orders_rows() {
-        let grid = SweepGrid::with_axes(&[SweepAxis::DecodeOverlap]);
-        let outcome = Sweep::new(grid, 4_000)
-            .warmup(1_500)
-            .with_kinds(&[WorkloadKind::TimesharingLight])
-            .max_workers(2)
-            .run();
-        assert_eq!(outcome.rows.len(), 2);
-        assert_eq!(outcome.rows[0].label, "baseline");
-        assert_eq!(outcome.rows[1].label, "decode-overlap");
-        assert!(outcome.rows[0].cpi > 2.0);
-        // Decode overlap saves the non-overlapped decode cycle.
-        assert!(outcome.rows[1].cpi < outcome.rows[0].cpi);
-        assert!(outcome.metrics.wall.as_nanos() > 0);
     }
 }

@@ -1446,9 +1446,9 @@ impl Journal {
 
     /// A completed job's measurement — histogram, hardware counters and
     /// lengths — parsed back from its `complete` record; `None` if the
-    /// job is unknown, unsettled, or failed. A campaign run through the
-    /// queue (`vax780 run --checkpoint`) reads its results back here
-    /// for the composite merge.
+    /// job is unknown, unsettled, or failed. A campaign
+    /// ([`crate::run_campaign`]) reads its results back here for the
+    /// composite merge.
     ///
     /// # Errors
     ///

@@ -20,7 +20,14 @@
 //! - [`wire`] — the line protocol (Unix socket or TCP) and client;
 //! - [`server`] — the worker pool with bounded-capacity backpressure,
 //!   per-client quotas, bounded retry with deterministic backoff,
-//!   `drain` streaming, and remote `claim` workers over TCP.
+//!   `drain` streaming, and remote `claim` workers over TCP;
+//! - [`campaign`] — the repository's one campaign engine: enqueue a
+//!   list of specs, drain the journal offline, read the measurements
+//!   back in spec order. `vax780 run` and `vax780 sweep` run through it,
+//!   with a journal file (`run --checkpoint`) or a private temporary one.
+//!
+//! The server's worker pool is the only one in the repository, and
+//! [`InProcessExecutor`] the one place that catches a panicking job.
 //!
 //! The durability contract, end to end: `kill -9` the server at any
 //! instant, restart it on the same journal, and the merged results are
@@ -29,17 +36,20 @@
 //! makes the re-runs indistinguishable from first runs. Appends are
 //! flushed, not synced, so that contract covers process death, not an
 //! OS crash or power loss (see [`journal`]). `vax780 run --checkpoint`
-//! drives the five-workload composite through this same queue.
+//! keeps a campaign's journal in a named file, so a killed campaign
+//! resumes from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod journal;
 pub mod queue;
 pub mod server;
 pub mod spec;
 pub mod wire;
 
+pub use campaign::{default_workers, run_campaign, Campaign};
 pub use journal::{valid_client_name, JobId, JobState, Journal, JournalError};
 pub use queue::{Executor, InProcessExecutor};
 pub use server::{run_server, ServeConfig, ServeError, ServerReport};

@@ -9,16 +9,18 @@
 //! [`MeasuredWorkload`].
 
 use crate::spec::JobSpec;
+use std::any::Any;
 use std::time::{Duration, Instant};
 use upc_monitor::codec;
-use vax780_core::MeasuredWorkload;
+use vax780_core::{MeasuredWorkload, RunError};
 
 const BLOB_HEADER: &str = "vax-job-result v1";
 
 /// Why one execution attempt failed.
 #[derive(Debug, Clone)]
 pub enum ExecError {
-    /// The simulation panicked.
+    /// The attempt failed: an invalid spec, a workload fault (naming the
+    /// fault, its address and the pc), or a panic (with its text).
     Failed(String),
     /// The attempt exceeded its deadline and gave up.
     Timeout(Duration),
@@ -41,7 +43,7 @@ pub trait Executor: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`ExecError`] on panic or deadline overrun.
+    /// [`ExecError`] on failure or deadline overrun.
     fn run(&self, spec: &JobSpec, timeout: Option<Duration>)
         -> Result<MeasuredWorkload, ExecError>;
 }
@@ -115,7 +117,10 @@ pub fn parse_result_blob(text: &str, name: &'static str) -> Result<MeasuredWorkl
 ///
 /// Every attempt validates its spec first ([`JobSpec::validate`]): a job
 /// that reached a journal without validation fails its attempt with the
-/// reason instead of building a machine it cannot allocate.
+/// reason instead of building a machine it cannot allocate. A workload
+/// fault is a failed attempt naming the fault; a panic, which means a
+/// model bug, is caught here — the one place job code is quarantined —
+/// and fails the attempt with the panic's text.
 #[derive(Debug, Default)]
 pub struct InProcessExecutor;
 
@@ -129,13 +134,19 @@ impl Executor for InProcessExecutor {
         // A deadline past the clock's range is no deadline.
         let deadline = timeout.and_then(|limit| Instant::now().checked_add(limit));
         let exp = spec.experiment();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_until(deadline)))
-            .map_err(|p| ExecError::Failed(panic_message(&p)))?
-            .ok_or(ExecError::Timeout(timeout.unwrap_or_default()))
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_until(deadline))) {
+            Ok(Ok(m)) => Ok(m),
+            Ok(Err(RunError::Deadline)) => Err(ExecError::Timeout(timeout.unwrap_or_default())),
+            Ok(Err(fault)) => Err(ExecError::Failed(fault.to_string())),
+            Err(payload) => Err(ExecError::Failed(panic_message(payload))),
+        }
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A caught panic's text. Taking the payload by value keeps the
+/// downcasts on the payload itself: a `&Box<dyn Any>` coerced to
+/// `&dyn Any` would downcast the box and lose the text.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("job panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -191,6 +202,41 @@ mod tests {
                     other.map(|m| m.cycles)
                 ),
             }
+        }
+    }
+
+    /// The text of an `expect` survives the quarantine.
+    #[test]
+    fn a_caught_expect_payload_keeps_its_text() {
+        let payload = std::panic::catch_unwind(|| "x".parse::<u8>().expect("workload runs"))
+            .expect_err("panics");
+        assert_eq!(
+            panic_message(payload),
+            "job panicked: workload runs: ParseIntError { kind: InvalidDigit }"
+        );
+    }
+
+    /// A workload fault fails the attempt as data, naming the fault, its
+    /// address and the pc; nothing panics. This seed's timesharing-light
+    /// image faults because two kernel interrupt service routines do not
+    /// save R2 and R3, so the pin moves once the generator is fixed.
+    #[test]
+    fn a_workload_fault_is_a_failed_attempt_naming_va_and_pc() {
+        let spec = JobSpec::parse(
+            "workload=timesharing-light instructions=1000000 warmup=50000 \
+             seed=9766933028950949136",
+        )
+        .expect("parses");
+        match InProcessExecutor.run(&spec, None) {
+            Err(ExecError::Failed(msg)) => {
+                assert!(msg.contains("0x00063e50"), "{msg}");
+                assert!(msg.contains("pc=0x00019930"), "{msg}");
+                assert!(!msg.contains("panicked"), "{msg}");
+            }
+            other => panic!(
+                "expected a failed attempt, got {:?}",
+                other.map(|m| m.cycles)
+            ),
         }
     }
 

@@ -907,42 +907,47 @@ mod tests {
         assert_eq!(report.failed, 1);
     }
 
+    /// A failing job settles as one `fail` record after its attempts run
+    /// out, while its siblings complete. With no retries (`run`'s and
+    /// `sweep`'s policy) each poisoned job runs exactly once.
     #[test]
     fn retries_exhaust_into_one_fail_record() {
-        let dir = tempdir("vax-serve-retry");
-        let journal_path = dir.join("queue.journal");
-        {
-            let mut j = Journal::open(&journal_path).unwrap();
-            j.append_enqueue(&quick_spec(WorkloadKind::SciEng, 7))
-                .unwrap();
-            j.append_enqueue(&quick_spec(WorkloadKind::SciEng, 8))
-                .unwrap();
+        for (retries, attempts) in [(2u32, 3usize), (0, 1)] {
+            let dir = tempdir(&format!("vax-serve-retry-{retries}"));
+            let journal_path = dir.join("queue.journal");
+            {
+                let mut j = Journal::open(&journal_path).unwrap();
+                for seed in 7..=11 {
+                    j.append_enqueue(&quick_spec(WorkloadKind::SciEng, seed))
+                        .unwrap();
+                }
+            }
+            let executor = Arc::new(CountingExecutor {
+                runs: AtomicUsize::new(0),
+                fail_seeds: vec![7, 9],
+            });
+            let config = ServeConfig {
+                journal: journal_path.clone(),
+                workers: 3,
+                retry: RetryPolicy::from_retries(retries, 0),
+                drain_on_start: true,
+                ..ServeConfig::default()
+            };
+            let report = run_server(&config, None, executor.clone()).unwrap();
+            assert_eq!((report.done, report.failed), (3, 2), "retry {retries}");
+            // Each poisoned job runs `attempts` times, each sibling once.
+            assert_eq!(executor.runs.load(Ordering::SeqCst), 2 * attempts + 3);
+            let j = Journal::open(&journal_path).unwrap();
+            for (id, state) in j.states() {
+                let line = j.result_line(id).unwrap().unwrap();
+                if state == JobState::Failed {
+                    assert!(line.contains(&format!("\"attempts\":{attempts}")), "{line}");
+                    assert!(line.contains("synthetic failure"), "{line}");
+                } else {
+                    assert_eq!(state, JobState::Done, "{line}");
+                }
+            }
         }
-        let executor = Arc::new(CountingExecutor {
-            runs: AtomicUsize::new(0),
-            fail_seeds: vec![7],
-        });
-        let config = ServeConfig {
-            journal: journal_path.clone(),
-            workers: 2,
-            retry: RetryPolicy::from_retries(2, 0),
-            drain_on_start: true,
-            ..ServeConfig::default()
-        };
-        let report = run_server(&config, None, executor.clone()).unwrap();
-        assert_eq!(report.done, 1);
-        assert_eq!(report.failed, 1);
-        // Job 7: 3 attempts; job 8: 1 attempt.
-        assert_eq!(executor.runs.load(Ordering::SeqCst), 4);
-        let j = Journal::open(&journal_path).unwrap();
-        let failed_id = j
-            .states()
-            .find(|&(_, s)| s == JobState::Failed)
-            .map(|(id, _)| id)
-            .unwrap();
-        let line = j.result_line(failed_id).unwrap().unwrap();
-        assert!(line.contains("\"attempts\":3"), "{line}");
-        assert!(line.contains("synthetic failure"), "{line}");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! is strict: unknown or duplicate keys are errors, so a typo is a
 //! reject at enqueue time, not a silently-default simulation.
 
+use vax780_core::sweep::SweepPoint;
 use vax780_core::Experiment;
 use vax_cpu::CpuConfig;
 use vax_fault::{FaultClass, FaultPlan};
@@ -73,6 +74,9 @@ pub struct JobSpec {
     pub cache_ways: Option<u32>,
     /// Override translation-buffer entry count.
     pub tb_entries: Option<u32>,
+    /// Split the TB into system and process halves, as the 11/780 does
+    /// (`false` = one unified TB).
+    pub tb_split: bool,
     /// Override write-buffer depth.
     pub write_buffer: Option<u32>,
     /// Fault classes to inject (empty = fault-free run).
@@ -100,11 +104,29 @@ impl JobSpec {
             cache_kb: None,
             cache_ways: None,
             tb_entries: None,
+            tb_split: true,
             write_buffer: None,
             faults: Vec::new(),
             fault_seed: 0x780,
             fault_count: 2,
             fault_window: None,
+        }
+    }
+
+    /// The job measuring `workload` at one sweep point: each of the
+    /// point's ablations becomes the key that asks for it.
+    pub fn at_point(workload: WorkloadKind, point: &SweepPoint) -> JobSpec {
+        let base = MemConfig::default();
+        let changed = |value: u32, default: u32| (value != default).then_some(value);
+        let (cache, tb) = (point.mem.cache, point.mem.tb);
+        JobSpec {
+            decode_overlap: point.cpu.decode_overlap,
+            cache_kb: changed(cache.size_bytes, base.cache.size_bytes).map(|b| b / 1024),
+            cache_ways: changed(cache.ways, base.cache.ways),
+            tb_entries: changed(tb.entries, base.tb.entries),
+            tb_split: tb.split,
+            write_buffer: changed(point.mem.write_buffer_entries, base.write_buffer_entries),
+            ..JobSpec::new(workload)
         }
     }
 
@@ -135,6 +157,9 @@ impl JobSpec {
         }
         if let Some(entries) = self.tb_entries {
             out.push_str(&format!(" tb-entries={entries}"));
+        }
+        if !self.tb_split {
+            out.push_str(" tb-split=0");
         }
         if let Some(depth) = self.write_buffer {
             out.push_str(&format!(" write-buffer={depth}"));
@@ -177,6 +202,11 @@ impl JobSpec {
                     .parse::<u32>()
                     .map_err(|_| format!("{key}: expected {what}, got {value:?}"))
             };
+            let flag = || match value {
+                "1" => Ok(true),
+                "0" => Ok(false),
+                _ => Err(format!("{key}: expected 0 or 1, got {value:?}")),
+            };
             match key {
                 "workload" => {
                     workload = Some(WorkloadKind::parse(value).ok_or_else(|| {
@@ -193,16 +223,11 @@ impl JobSpec {
                     spec.tier = Tier::parse(value)
                         .ok_or_else(|| format!("tier: unknown tier {value:?} (expected naive)"))?;
                 }
-                "decode-overlap" => {
-                    spec.decode_overlap = match value {
-                        "1" => true,
-                        "0" => false,
-                        _ => return Err(format!("decode-overlap: expected 0 or 1, got {value:?}")),
-                    };
-                }
+                "decode-overlap" => spec.decode_overlap = flag()?,
                 "cache-kb" => spec.cache_kb = Some(small("a size in KiB")?),
                 "cache-ways" => spec.cache_ways = Some(small("a way count")?),
                 "tb-entries" => spec.tb_entries = Some(small("an entry count")?),
+                "tb-split" => spec.tb_split = flag()?,
                 "write-buffer" => spec.write_buffer = Some(small("a depth")?),
                 "faults" => {
                     for name in value.split('+') {
@@ -313,6 +338,7 @@ impl JobSpec {
         if let Some(entries) = self.tb_entries {
             mem.tb.entries = entries;
         }
+        mem.tb.split = self.tb_split;
         if let Some(depth) = self.write_buffer {
             mem.write_buffer_entries = depth;
         }
@@ -371,10 +397,48 @@ mod tests {
         spec.tb_entries = Some(64);
         spec.faults = vec![FaultClass::CacheParity, FaultClass::SbiTimeout];
         spec.fault_window = Some(50_000);
-        let line = spec.render();
-        let back = JobSpec::parse(&line).expect("canonical line parses");
-        assert_eq!(back, spec);
-        assert_eq!(back.render(), line);
+        let unified = JobSpec {
+            tb_split: false,
+            ..spec.clone()
+        };
+        for spec in [spec, unified] {
+            let line = spec.render();
+            let back = JobSpec::parse(&line).expect("canonical line parses");
+            assert_eq!(back, spec);
+            assert_eq!(back.render(), line);
+            assert_eq!(line.contains(" tb-split=0"), !spec.tb_split, "{line}");
+        }
+        // `tb-split=1` is the default: it parses, and renders away.
+        let split =
+            JobSpec::parse("workload=sci-eng instructions=4000 tb-split=1").expect("parses");
+        assert_eq!(
+            split,
+            JobSpec::parse("workload=sci-eng instructions=4000").expect("parses")
+        );
+        assert!(!split.render().contains("tb-split"));
+    }
+
+    /// Every sweep point is a job: each point of the full grid, for each
+    /// workload, maps to a spec that validates, round-trips, and asks
+    /// for exactly the point's configuration.
+    #[test]
+    fn every_sweep_point_is_a_job_spec() {
+        use vax780_core::sweep::SweepGrid;
+        for point in SweepGrid::all().points() {
+            for kind in WorkloadKind::ALL {
+                let spec = JobSpec::at_point(kind, point);
+                let line = spec.render();
+                assert_eq!(spec.validate(), Ok(()), "{}: {line}", point.label);
+                assert_eq!(JobSpec::parse(&line).as_ref(), Ok(&spec), "{line}");
+                assert_eq!(spec.cpu_config(), point.cpu, "{}", point.label);
+                assert_eq!(spec.mem_config(), point.mem, "{}", point.label);
+                assert_eq!(
+                    line.contains("tb-split=0"),
+                    point.label == "tb-unified",
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -422,6 +486,10 @@ mod tests {
             ("workload=sci-eng instructions=0", "at least 1"),
             ("workload=sci-eng tier=turbo", "tier"),
             ("workload=sci-eng tier=default", "tier"),
+            ("workload=sci-eng tb-split=2", "tb-split"),
+            ("workload=sci-eng tb-split=yes", "tb-split"),
+            ("workload=sci-eng tb-split=", "tb-split"),
+            ("workload=sci-eng decode-overlap=2", "decode-overlap"),
         ] {
             let err = JobSpec::parse(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");

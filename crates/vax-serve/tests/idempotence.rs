@@ -258,7 +258,6 @@ fn checkpointed_resume_is_bit_identical_to_uninterrupted() {
     let (uninterrupted, _) = CompositeStudy::new(4_000)
         .warmup(1_500)
         .with_kinds(&kinds)
-        .max_workers(2)
         .run();
 
     let dir = tempdir();

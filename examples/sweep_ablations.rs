@@ -8,9 +8,12 @@
 //!
 //! Each point re-measures the five-workload composite under one ablated
 //! configuration (cache size/ways, TB entries/split, write-buffer
-//! depth, decode overlap); points fan across one worker per host core.
+//! depth, decode overlap). Every point × workload is one job of a
+//! campaign, drained by the campaign engine's worker pool (one worker
+//! per host core).
 
-use vax780_core::sweep::{Sweep, SweepGrid};
+use vax780_core::sweep::SweepGrid;
+use vax_workloads::WorkloadKind;
 
 fn main() {
     let instructions: u64 = std::env::args()
@@ -22,9 +25,11 @@ fn main() {
         "sweeping {} points x 5 workloads x {instructions} instructions ...",
         grid.len()
     );
-    let outcome = Sweep::new(grid, instructions).run();
+    let (rows, metrics) =
+        vax_serve::campaign::sweep(&grid, &WorkloadKind::ALL, instructions, 30_000, None)
+            .unwrap_or_else(|e| panic!("{e}"));
     println!("=== configuration sweep ===");
-    print!("{}", vax_analysis::sweep::render_table(&outcome.rows));
+    print!("{}", vax_analysis::sweep::render_table(&rows));
     println!("\n=== sweep self-metrics ===");
-    println!("{}", outcome.metrics);
+    println!("{metrics}");
 }

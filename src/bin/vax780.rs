@@ -33,11 +33,13 @@
 //! vax780 list
 //! ```
 //!
-//! `run` measures one workload (or the five-workload composite, fanned
-//! across a worker pool), prints every table plus the paper comparison,
-//! and can save the raw histogram; with `--checkpoint FILE` the
-//! composite runs as five jobs in a queue journal, so a killed campaign
-//! resumes from the file. `serve` runs the crash-safe campaign server:
+//! `run` measures one workload (or the five-workload composite), prints
+//! every table plus the paper comparison, and can save the raw
+//! histogram; like `sweep`, it is a campaign of one job per workload,
+//! enqueued into a queue journal and drained by the server's worker
+//! pool. The journal is private and temporary unless `--checkpoint
+//! FILE` names it, so a killed campaign resumes from the file. `serve`
+//! runs the crash-safe campaign server:
 //! a persistent `vax-queue-journal v2` job queue (append-only tail plus
 //! a compacted snapshot of settled jobs, so replay stays O(unsettled)
 //! no matter the history) drained by a worker pool (threads, or remote
@@ -76,13 +78,10 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use vax780_core::sweep::{Sweep, SweepAxis, SweepGrid};
-use vax780_core::{
-    default_workers, CampaignMetrics, CompositeStudy, Experiment, MeasuredWorkload, RetryPolicy,
-};
+use vax780_core::sweep::{SweepAxis, SweepGrid};
+use vax780_core::{Experiment, MeasuredWorkload, RetryPolicy};
 use vax_analysis::report::StudyReport;
 use vax_analysis::Analysis;
-use vax_cpu::CpuConfig;
 use vax_ucode::ControlStore;
 use vax_workloads::{profile, WorkloadKind};
 
@@ -133,7 +132,7 @@ const USAGE: &str =
      run     --workload NAME|all  --instructions N  --warmup N\n\
      \x20       --decode-overlap  --save-histogram FILE\n\
      \x20       --jobs N  --serial  --metrics  --checkpoint FILE\n\
-     \x20       (--checkpoint: the composite as five jobs in a queue journal;\n\
+     \x20       (--checkpoint: keep the campaign's queue journal in FILE;\n\
      \x20        re-run the same command to resume a killed campaign)\n\
      serve   --queue FILE  --socket PATH|tcp:ADDR  --jobs N  --capacity N\n\
      \x20       --client-quota N  --compact-every N\n\
@@ -142,7 +141,8 @@ const USAGE: &str =
      enqueue (--queue FILE | --socket PATH)  --client NAME  --spec LINE (repeatable)\n\
      \x20       (spec: workload=NAME instructions=N warmup=N [seed=N] [tier=naive]\n\
      \x20        [decode-overlap=1] [cache-kb=N] [cache-ways=N] [tb-entries=N]\n\
-     \x20        [write-buffer=N] [faults=A+B fault-seed=N fault-count=N fault-window=N])\n\
+     \x20        [tb-split=0] [write-buffer=N]\n\
+     \x20        [faults=A+B fault-seed=N fault-count=N fault-window=N])\n\
      status  (--queue FILE | --socket PATH)\n\
      drain   (--queue FILE  --jobs N  --retry N  --retry-backoff-ms MS\n\
      \x20        --timeout-secs S | --socket PATH)  --out FILE\n\
@@ -441,87 +441,59 @@ fn print_analysis(analysis: &Analysis) {
     println!("{}", report.comparison_table());
 }
 
+/// The workloads `--workload NAME|all` names.
+fn kinds_arg(workload: &str) -> Result<Vec<WorkloadKind>, String> {
+    if workload == "all" {
+        return Ok(WorkloadKind::ALL.to_vec());
+    }
+    parse_kind(workload)
+        .map(|kind| vec![kind])
+        .ok_or_else(|| format!("unknown workload '{workload}'; try `vax780 list`"))
+}
+
+/// Measure one workload or the five-workload composite as a campaign of
+/// one job per workload ("enqueue, then drain"; with `--checkpoint FILE`
+/// the journal is FILE, so a killed campaign resumes from it), then
+/// print every table of the summed histogram.
 fn cmd_run(args: &[String]) -> ExitCode {
+    use vax_serve::{run_campaign, JobSpec};
+
     let instructions: u64 = or_fail!(num_opt(args, "--instructions", 200_000));
     let warmup: u64 = or_fail!(num_opt(args, "--warmup", 30_000));
     let workload = opt(args, "--workload").unwrap_or("all");
     let jobs = or_fail!(jobs_arg(args));
-    let decode_overlap = flag(args, "--decode-overlap");
-    let cpu_config = if decode_overlap {
-        CpuConfig::with_decode_overlap()
-    } else {
-        CpuConfig::default()
-    };
-    let checkpoint_path = opt(args, "--checkpoint");
-    if checkpoint_path.is_some() && workload != "all" {
-        eprintln!("--checkpoint resumes the composite campaign; use --workload all");
-        return ExitCode::FAILURE;
+    let kinds = or_fail!(kinds_arg(workload));
+    let specs: Vec<JobSpec> = kinds
+        .iter()
+        .map(|&kind| JobSpec {
+            instructions,
+            warmup,
+            decode_overlap: flag(args, "--decode-overlap"),
+            ..JobSpec::new(kind)
+        })
+        .collect();
+
+    eprintln!(
+        "running {workload}: {} workload(s) x {instructions} instructions ...",
+        specs.len()
+    );
+    let checkpoint = opt(args, "--checkpoint").map(std::path::Path::new);
+    let campaign =
+        or_fail!(run_campaign(&specs, checkpoint, jobs).map_err(|e| format!("vax780 run: {e}")));
+    for r in &campaign.results {
+        eprintln!("  {:<20} CPI {:.2}", r.name, r.analysis().cpi());
     }
-
-    let (analysis, histogram, counters) = if workload == "all" {
-        eprintln!("running composite: 5 workloads x {instructions} instructions ...");
-        let (results, metrics) = match checkpoint_path {
-            Some(path) => {
-                let specs: Vec<vax_serve::JobSpec> = WorkloadKind::ALL
-                    .into_iter()
-                    .map(|kind| {
-                        let mut spec = vax_serve::JobSpec::new(kind);
-                        spec.instructions = instructions;
-                        spec.warmup = warmup;
-                        spec.decode_overlap = decode_overlap;
-                        spec
-                    })
-                    .collect();
-                or_fail!(run_checkpointed(std::path::Path::new(path), &specs, jobs))
-            }
-            None => {
-                let mut study = CompositeStudy::new(instructions)
-                    .warmup(warmup)
-                    .cpu_config(cpu_config);
-                if let Some(n) = jobs {
-                    study = study.max_workers(n);
-                }
-                let outcome = study.run_supervised();
-                for f in &outcome.failures {
-                    eprintln!("quarantined: {f}");
-                }
-                if !outcome.failures.is_empty() {
-                    return ExitCode::FAILURE;
-                }
-                (outcome.results, outcome.metrics)
-            }
-        };
-        let mut merged = upc_monitor::Histogram::new();
-        let mut counters = vax_mem::HwCounters::new();
-        for r in &results {
-            eprintln!("  {:<20} CPI {:.2}", r.name, r.analysis().cpi());
-            merged.merge(&r.histogram);
-            counters.merge(&r.counters);
-        }
-        if flag(args, "--metrics") {
-            println!("=== campaign self-metrics ===");
-            println!("{metrics}\n");
-        }
-        let analysis = Analysis::new(&merged, &ControlStore::build(), &counters);
-        (analysis, merged, counters)
-    } else {
-        let Some(kind) = parse_kind(workload) else {
-            eprintln!("unknown workload '{workload}'; try `vax780 list`");
-            return ExitCode::FAILURE;
-        };
-        eprintln!("running {workload}: {instructions} instructions ...");
-        let measured = Experiment::new(kind)
-            .warmup(warmup)
-            .instructions(instructions)
-            .cpu_config(cpu_config)
-            .run();
-        let counters = measured.counters;
-        (measured.analysis(), measured.histogram, counters)
-    };
-
-    print_analysis(&analysis);
+    if flag(args, "--metrics") {
+        println!("=== campaign self-metrics ===");
+        println!("{}\n", campaign.metrics);
+    }
+    let composite = MeasuredWorkload::composite(&campaign.results);
+    print_analysis(&composite.analysis());
     if let Some(path) = opt(args, "--save-histogram") {
-        let text = upc_monitor::codec::to_text_with_counters(&histogram, &counters.to_pairs());
+        let text = upc_monitor::codec::to_text_with_counters(
+            &composite.histogram,
+            &composite.counters.to_pairs(),
+        );
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("failed to save histogram to {path}: {e}");
             return ExitCode::FAILURE;
@@ -531,114 +503,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `run --workload all --checkpoint FILE`: the composite campaign as
-/// five jobs in a `vax-queue-journal v2`. Enqueue whichever of `specs`
-/// the journal does not hold yet, drain it offline as `drain --queue`
-/// does (one attempt per job: a seeded simulation that panicked once
-/// panics again), and read the measurements back in `specs` order. A
-/// killed campaign resumes from the file: settled jobs are read back,
-/// not re-run. A journal holding any other spec belongs to another
-/// campaign and is refused, naming that spec.
-fn run_checkpointed(
-    path: &std::path::Path,
-    specs: &[vax_serve::JobSpec],
-    jobs: Option<usize>,
-) -> Result<(Vec<MeasuredWorkload>, CampaignMetrics), String> {
-    use vax_serve::{run_server, InProcessExecutor, JobSpec, JobState, Journal, ServeConfig};
-
-    let fail = |e: &dyn std::fmt::Display| format!("vax780 run: {e}");
-    let mut journal = Journal::open(path).map_err(|e| fail(&e))?;
-    for w in journal.warnings() {
-        eprintln!("vax780 run: queue journal {}: {w}", path.display());
-    }
-    // The first job holding each spec; settled ones are restored.
-    let mut ids = vec![None; specs.len()];
-    let mut restored = 0;
-    for (id, state) in journal.states() {
-        let line = journal
-            .spec_line(id)
-            .map_err(|e| fail(&e))?
-            .unwrap_or_default();
-        let Some(k) = JobSpec::parse(&line)
-            .ok()
-            .and_then(|spec| specs.iter().position(|s| *s == spec))
-        else {
-            return Err(fail(&format!(
-                "queue journal {} holds job {id} `{line}`, which is not one of this \
-                 campaign's specs; resume it with the options that wrote it, or use a fresh \
-                 --checkpoint file",
-                path.display()
-            )));
-        };
-        if ids[k].is_none() {
-            ids[k] = Some(id);
-            restored += usize::from(state == JobState::Done);
-        }
-    }
-    if restored > 0 {
-        eprintln!(
-            "resuming: {restored} job(s) restored from {}",
-            path.display()
-        );
-    }
-    for (slot, spec) in ids.iter_mut().zip(specs) {
-        if slot.is_none() {
-            *slot = Some(journal.append_enqueue(spec).map_err(|e| fail(&e))?);
-        }
-    }
-    let unsettled = journal.counts().0;
-    drop(journal);
-
-    let config = ServeConfig {
-        journal: path.to_path_buf(),
-        workers: jobs.unwrap_or_else(|| default_workers(unsettled)),
-        retry: RetryPolicy::from_retries(0, 0),
-        drain_on_start: true,
-        ..ServeConfig::default()
-    };
-    let report = run_server(&config, None, Arc::new(InProcessExecutor)).map_err(|e| fail(&e))?;
-    let journal = Journal::open(path).map_err(|e| fail(&e))?;
-    let mut results = Vec::new();
-    for id in ids.into_iter().flatten() {
-        match journal.measurement(id).map_err(|e| fail(&e))? {
-            Some(m) => results.push(m),
-            None => eprintln!(
-                "quarantined: {}",
-                journal
-                    .result_line(id)
-                    .map_err(|e| fail(&e))?
-                    .unwrap_or_default()
-            ),
-        }
-    }
-    if results.len() < specs.len() {
-        return Err(fail(&format!(
-            "{} job(s) failed; {} keeps each failure as settled",
-            specs.len() - results.len(),
-            path.display()
-        )));
-    }
-    Ok((results, report.metrics))
-}
-
 /// Re-measure the composite under a grid of machine ablations (§6) and
 /// print the per-point CPI/stall breakdown, with optional CSV/JSONL
 /// export and host-side self-metrics for the worker pool.
 fn cmd_sweep(args: &[String]) -> ExitCode {
     let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
     let warmup: u64 = or_fail!(num_opt(args, "--warmup", 15_000));
-    let workload = opt(args, "--workload").unwrap_or("all");
     let jobs = or_fail!(jobs_arg(args));
-
-    let kinds: Vec<WorkloadKind> = if workload == "all" {
-        WorkloadKind::ALL.to_vec()
-    } else {
-        let Some(kind) = parse_kind(workload) else {
-            eprintln!("unknown workload '{workload}'; try `vax780 list`");
-            return ExitCode::FAILURE;
-        };
-        vec![kind]
-    };
+    let kinds = or_fail!(kinds_arg(opt(args, "--workload").unwrap_or("all")));
 
     let axis_names = opt_all(args, "--axis");
     let grid = if axis_names.is_empty() {
@@ -663,20 +535,18 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         grid.len(),
         kinds.len()
     );
-    let mut sweep = Sweep::new(grid, instructions)
-        .warmup(warmup)
-        .with_kinds(&kinds);
-    if let Some(n) = jobs {
-        sweep = sweep.max_workers(n);
-    }
-    let outcome = sweep.run();
+    let (rows, metrics) =
+        or_fail!(
+            vax_serve::campaign::sweep(&grid, &kinds, instructions, warmup, jobs)
+                .map_err(|e| format!("vax780 sweep: {e}"))
+        );
 
     println!("=== configuration sweep ===");
-    print!("{}", vax_analysis::sweep::render_table(&outcome.rows));
+    print!("{}", vax_analysis::sweep::render_table(&rows));
 
     for (path, text, what) in [
-        opt(args, "--csv").map(|p| (p, vax_analysis::sweep::to_csv(&outcome.rows), "CSV")),
-        opt(args, "--jsonl").map(|p| (p, vax_analysis::sweep::to_jsonl(&outcome.rows), "JSONL")),
+        opt(args, "--csv").map(|p| (p, vax_analysis::sweep::to_csv(&rows), "CSV")),
+        opt(args, "--jsonl").map(|p| (p, vax_analysis::sweep::to_jsonl(&rows), "JSONL")),
     ]
     .into_iter()
     .flatten()
@@ -690,7 +560,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 
     if flag(args, "--metrics") {
         println!("\n=== sweep self-metrics ===");
-        println!("{}", outcome.metrics);
+        println!("{metrics}");
     }
     ExitCode::SUCCESS
 }

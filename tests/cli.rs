@@ -715,6 +715,61 @@ fn run_parallel_composite_matches_serial_and_reports_metrics() {
     assert_eq!(headline(&ptext), headline(&stext));
 }
 
+/// `run` and `sweep` keep their campaign's queue journal in a private
+/// directory under the temp dir and remove it, so TMPDIR is empty again
+/// after each. A single-workload `run` resumes from `--checkpoint` too.
+#[test]
+fn run_and_sweep_leave_nothing_in_tmpdir() {
+    let dir = std::env::temp_dir().join("vax780-tmpdir-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let small = ["--instructions", "2000", "--warmup", "500"];
+    for (cmd, workload) in [
+        ("run", "educational"),
+        ("run", "all"),
+        ("sweep", "educational"),
+    ] {
+        let out = vax780()
+            .args([cmd, "--workload", workload])
+            .args(small)
+            .args(["--axis", "tb-split"].iter().filter(|_| cmd == "sweep"))
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{cmd} {workload}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().collect();
+        assert!(left.is_empty(), "{cmd} {workload} left {left:?}");
+        if cmd == "sweep" {
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(text.contains("\ntb-unified "), "{text}");
+        }
+    }
+
+    let journal = dir.join("one.journal");
+    for restored in [false, true] {
+        let out = vax780()
+            .args(["run", "--workload", "sci-eng"])
+            .args(small)
+            .arg("--checkpoint")
+            .arg(&journal)
+            .output()
+            .expect("runs");
+        assert!(out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.contains("resuming: 1 job(s) restored"),
+            restored,
+            "{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sweep_smoke_emits_table_csv_and_jsonl() {
     let dir = std::env::temp_dir().join("vax780-sweep-test");
