@@ -137,14 +137,22 @@ diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/compacted.jsonl"
 
 # Remote-worker gate: a server with zero local workers on TCP, one
 # `vax780 worker` process settling the queue over the claim protocol.
-# The streamed results — digests included — must be byte-identical to
-# the in-process reference.
+# One `enqueue` call sends the five specs as five requests on one
+# kept-alive TCP connection; the serve and compaction gates above send
+# one spec per process, so both client shapes stay gated. The streamed
+# results — digests included — must be byte-identical to the
+# in-process reference.
 "$VAX780" serve --queue "$CKPT_DIR/remote.journal" \
     --socket tcp:127.0.0.1:17780 --jobs 0 &
 SERVE_PID=$!
-echo "$SERVE_SPECS" | while IFS= read -r spec; do
-    "$VAX780" enqueue --socket tcp:127.0.0.1:17780 --spec "$spec"
-done
+set --
+while IFS= read -r spec; do
+    set -- "$@" --spec "$spec"
+done <<EOF
+$SERVE_SPECS
+EOF
+"$VAX780" enqueue --socket tcp:127.0.0.1:17780 "$@" > "$CKPT_DIR/remote-enqueue.txt"
+test "$(grep -c '^enqueued ' "$CKPT_DIR/remote-enqueue.txt")" -eq 5
 "$VAX780" worker --connect tcp:127.0.0.1:17780 &
 WORKER_PID=$!
 "$VAX780" drain --socket tcp:127.0.0.1:17780 --out "$CKPT_DIR/remote.jsonl"
@@ -199,9 +207,12 @@ for W in characterize campaign faulted; do
 done
 
 # Request-path gate: one traced campaign run. A job server that sleeps
-# on its request path (an accept poll, a supervisor timeout) shows up as
-# hostbench's own per-layer `serve.wire_rtt_ms`, which must stay under
-# 5 ms (the 20 ms accept poll it replaced read 20.3 ms).
+# on its request path shows up as hostbench's own per-layer
+# `serve.wire_rtt_ms`, which must stay under 5 ms (the 20 ms accept poll
+# it replaced read 20.3 ms). It is the median of 25 `status` requests
+# from one client, which keeps its connection, so it times the
+# handler's path; `status_round_trips_pay_no_sleep_floor` in the test
+# suite times the accept path with a connection per request.
 cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- \
     --workload campaign --seed 1 --seconds 1 --trace 1 > "$CKPT_DIR/hostbench-traced.txt"
 tail -n 1 "$CKPT_DIR/hostbench-traced.txt" | grep -q '"correct": true'

@@ -180,11 +180,8 @@ fn enqueue_missing(path: &Path, specs: &[JobSpec]) -> Result<(Vec<JobId>, usize)
     }
     let mut ids: Vec<Option<JobId>> = vec![None; specs.len()];
     let mut restored = 0;
-    for (id, state) in journal.states() {
-        let line = journal
-            .spec_line(id)
-            .map_err(|e| e.to_string())?
-            .unwrap_or_default();
+    for job in journal.job_specs() {
+        let (id, state, line) = job.map_err(|e| e.to_string())?;
         let Some(k) = JobSpec::parse(&line)
             .ok()
             .and_then(|spec| specs.iter().position(|s| *s == spec))

@@ -345,6 +345,16 @@ fn read_span(file: &mut File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// Read the first line, newline included, of the `len`-byte record at
+/// `at` — the whole record if it holds no newline. It reads in small
+/// chunks, so a head line costs one short read however long its record.
+fn read_head(file: &mut File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(at))?;
+    let mut head = Vec::new();
+    BufReader::with_capacity(512, Read::take(&*file, len)).read_until(b'\n', &mut head)?;
+    Ok(head)
+}
+
 /// What one settled record streams back as, before JSON rendering.
 enum StreamedOutcome {
     Done {
@@ -1318,20 +1328,65 @@ impl Journal {
         Ok(spec.to_string())
     }
 
-    /// The canonical one-line spec text for any job, read back from
-    /// the segment that holds it (settled specs live only on disk).
+    /// Every job in id order as `(id, state, canonical spec line)` —
+    /// what `status` lists. A settled job's spec is read back alone,
+    /// without its settle record, and the whole pass shares one set of
+    /// segment handles.
     ///
     /// # Errors
     ///
-    /// [`JournalError`] if the record cannot be read back.
-    pub fn spec_line(&self, id: JobId) -> Result<Option<String>, JournalError> {
-        if let Some(job) = self.pending.get(&id) {
-            return Ok(Some(job.spec.render()));
+    /// Each item is [`JournalError`] if that job's record cannot be
+    /// read back.
+    pub fn job_specs(
+        &self,
+    ) -> impl Iterator<Item = Result<(JobId, JobState, String), JournalError>> + '_ {
+        let mut files = SegmentFiles::default();
+        self.states().map(move |(id, state)| {
+            let spec = match (self.pending.get(&id), self.settled.get(&id)) {
+                (Some(job), _) => job.spec.render(),
+                (None, Some(r)) => self.read_settled_spec(&mut files, id, *r)?,
+                (None, None) => unreachable!("states() lists only known jobs"),
+            };
+            Ok((id, state, spec))
+        })
+    }
+
+    /// Read a settled job's spec line back from disk: the head line of
+    /// its snapshot record, or its `enqueue` record in the tail.
+    fn read_settled_spec(
+        &self,
+        files: &mut SegmentFiles,
+        id: JobId,
+        r: SettledRef,
+    ) -> Result<String, JournalError> {
+        match r.seg {
+            Segment::Snapshot => {
+                let file = files.snapshot(&self.snap_path)?;
+                let head = read_head(file, r.at, r.len).map_err(|e| JournalError::Io {
+                    path: self.snap_path.clone(),
+                    source: e,
+                })?;
+                let head = String::from_utf8(head)
+                    .map_err(|_| self.snap_corrupt(format!("record for job {id} is not UTF-8")))?;
+                let head = head
+                    .strip_suffix('\n')
+                    .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
+                self.snapshot_spec(id, head)
+            }
+            Segment::Tail => {
+                let file = files.tail(&self.path)?;
+                let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
+                    .map_err(|e| self.io_err(e))?;
+                self.spec_from_enqueue(&enqueue, id)
+            }
         }
-        let Some(r) = self.settled.get(&id) else {
-            return Ok(None);
-        };
-        Ok(Some(self.read_settled(id, *r)?.0))
+    }
+
+    /// The spec carried by a snapshot record's `job <id> <spec>` head.
+    fn snapshot_spec(&self, id: JobId, head: &str) -> Result<String, JournalError> {
+        head.strip_prefix(&format!("job {id} "))
+            .map(str::to_string)
+            .ok_or_else(|| self.snap_corrupt(format!("bad record head for job {id}: `{head}`")))
     }
 
     /// Read a settled record back from disk: `(spec line, raw settle
@@ -1359,22 +1414,14 @@ impl Journal {
                 let newline = text
                     .find('\n')
                     .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
-                let head = &text[..newline];
-                let spec = head
-                    .strip_prefix(&format!("job {id} "))
-                    .ok_or_else(|| {
-                        self.snap_corrupt(format!("bad record head for job {id}: `{head}`"))
-                    })?
-                    .to_string();
+                let spec = self.snapshot_spec(id, &text[..newline])?;
                 // What remains is the settle record, in place.
                 text.replace_range(..=newline, "");
                 Ok((spec, text))
             }
             Segment::Tail => {
+                let spec = self.read_settled_spec(files, id, r)?;
                 let file = files.tail(&self.path)?;
-                let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
-                    .map_err(|e| self.io_err(e))?;
-                let spec = self.spec_from_enqueue(&enqueue, id)?;
                 let bytes = read_span(file, r.at, r.len).map_err(|e| self.io_err(e))?;
                 let text = String::from_utf8(bytes).map_err(|_| {
                     self.corrupt(format!("settle record for job {id} is not UTF-8"))
@@ -1647,7 +1694,8 @@ mod tests {
         assert!(rb.contains("\"attempts\":4"), "{rb}");
         assert!(rb.contains("worker panicked:\\nboom"), "{rb}");
         // Ids keep growing; settled specs read back from disk.
-        assert_eq!(back.spec_line(b).unwrap().unwrap(), spec_b.render());
+        let specs: Vec<_> = back.job_specs().map(Result::unwrap).collect();
+        assert_eq!(specs[1], (b, JobState::Failed, spec_b.render()));
         let mut back = back;
         assert_eq!(back.append_enqueue(&spec_a).unwrap(), 3);
         assert_eq!(back.pending(), vec![3]);
@@ -1798,6 +1846,60 @@ mod tests {
         let reread = Journal::open(&path).unwrap();
         assert_eq!(reread.counts(), (1, 3, 1));
         assert!(all_results(&reread).starts_with(&before[..before.len() - 1]));
+    }
+
+    /// `job_specs` reads each settled spec alone through one set of
+    /// handles; it must list exactly the specs the whole-record path
+    /// reads back, for jobs in the snapshot, in the tail, and pending.
+    #[test]
+    fn job_specs_match_the_whole_record_path_across_segments() {
+        let dir = tempdir("vax-journal-job-specs");
+        let path = dir.join("queue.journal");
+        let mut j = Journal::open(&path).unwrap();
+        let mut specs = Vec::new();
+        for seed in 1..=9u64 {
+            let mut spec = JobSpec::new(WorkloadKind::ALL[seed as usize % 5]);
+            spec.seed = Some(seed);
+            spec.cache_kb = Some(4 << (seed % 3));
+            let client = if seed.is_multiple_of(2) { "even" } else { "" };
+            assert_eq!(j.append_enqueue_for(client, &spec).unwrap(), seed);
+            specs.push(spec);
+        }
+        let settle = |j: &mut Journal, id: JobId| {
+            j.append_start(id, 1).unwrap();
+            if id.is_multiple_of(3) {
+                j.append_fail(id, 1, "boom").unwrap();
+            } else {
+                j.append_complete(id, &sample(WorkloadKind::SciEng))
+                    .unwrap();
+            }
+        };
+        // Jobs 1-4 settle into the snapshot, 5-7 settle in the tail,
+        // and 8-9 stay pending.
+        for id in 1..=4 {
+            settle(&mut j, id);
+        }
+        j.compact().unwrap();
+        for id in 5..=7 {
+            settle(&mut j, id);
+        }
+        for journal in [j, Journal::open(&path).unwrap()] {
+            let listed: Vec<_> = journal.job_specs().map(Result::unwrap).collect();
+            assert_eq!(listed.len(), 9);
+            for (id, state, spec) in listed {
+                assert_eq!(Some(state), journal.state(id));
+                assert_eq!(spec, specs[id as usize - 1].render(), "job {id}");
+                if let Some(r) = journal.settled.get(&id) {
+                    let segment = if id <= 4 {
+                        Segment::Snapshot
+                    } else {
+                        Segment::Tail
+                    };
+                    assert_eq!(r.seg, segment, "job {id}");
+                    assert_eq!(spec, journal.read_settled(id, *r).unwrap().0, "job {id}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,12 @@ const BLOB_HEADER: &str = "vax-job-result v1";
 /// Why one execution attempt failed.
 #[derive(Debug, Clone)]
 pub enum ExecError {
-    /// The attempt failed: an invalid spec, a workload fault (naming the
-    /// fault, its address and the pc), or a panic (with its text).
+    /// The attempt failed: an invalid spec, or a panic (with its text).
     Failed(String),
+    /// The workload faulted, naming the fault, its address and the pc.
+    /// The simulation is deterministic, so another attempt would fault
+    /// the same way: the server settles the job without a retry.
+    Fault(String),
     /// The attempt exceeded its deadline and gave up.
     Timeout(Duration),
 }
@@ -29,7 +32,7 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Failed(msg) => write!(f, "{msg}"),
+            ExecError::Failed(msg) | ExecError::Fault(msg) => write!(f, "{msg}"),
             ExecError::Timeout(limit) => {
                 write!(f, "timed out after {:.1}s", limit.as_secs_f64())
             }
@@ -118,9 +121,9 @@ pub fn parse_result_blob(text: &str, name: &'static str) -> Result<MeasuredWorkl
 /// Every attempt validates its spec first ([`JobSpec::validate`]): a job
 /// that reached a journal without validation fails its attempt with the
 /// reason instead of building a machine it cannot allocate. A workload
-/// fault is a failed attempt naming the fault; a panic, which means a
-/// model bug, is caught here — the one place job code is quarantined —
-/// and fails the attempt with the panic's text.
+/// fault is an [`ExecError::Fault`] naming the fault; a panic, which
+/// means a model bug, is caught here — the one place job code is
+/// quarantined — and fails the attempt with the panic's text.
 #[derive(Debug, Default)]
 pub struct InProcessExecutor;
 
@@ -137,7 +140,7 @@ impl Executor for InProcessExecutor {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_until(deadline))) {
             Ok(Ok(m)) => Ok(m),
             Ok(Err(RunError::Deadline)) => Err(ExecError::Timeout(timeout.unwrap_or_default())),
-            Ok(Err(fault)) => Err(ExecError::Failed(fault.to_string())),
+            Ok(Err(fault)) => Err(ExecError::Fault(fault.to_string())),
             Err(payload) => Err(ExecError::Failed(panic_message(payload))),
         }
     }
@@ -217,7 +220,8 @@ mod tests {
     }
 
     /// A workload fault fails the attempt as data, naming the fault, its
-    /// address and the pc; nothing panics. This seed's timesharing-light
+    /// address and the pc; nothing panics, and the error says it is a
+    /// fault, which the server does not retry. This seed's timesharing-light
     /// image faults because two kernel interrupt service routines do not
     /// save R2 and R3, so the pin moves once the generator is fixed.
     #[test]
@@ -228,15 +232,12 @@ mod tests {
         )
         .expect("parses");
         match InProcessExecutor.run(&spec, None) {
-            Err(ExecError::Failed(msg)) => {
+            Err(ExecError::Fault(msg)) => {
                 assert!(msg.contains("0x00063e50"), "{msg}");
                 assert!(msg.contains("pc=0x00019930"), "{msg}");
                 assert!(!msg.contains("panicked"), "{msg}");
             }
-            other => panic!(
-                "expected a failed attempt, got {:?}",
-                other.map(|m| m.cycles)
-            ),
+            other => panic!("expected a fault, got {:?}", other.map(|m| m.cycles)),
         }
     }
 

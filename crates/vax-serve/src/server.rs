@@ -19,12 +19,12 @@
 //! the snapshot segment so the live file stays O(unsettled).
 
 use crate::journal::{valid_client_name, JobId, JobState, Journal, JournalError};
-use crate::queue::{parse_result_blob, Executor};
+use crate::queue::{parse_result_blob, ExecError, Executor};
 use crate::spec::JobSpec;
-use crate::wire::{Conn, Endpoint};
+use crate::wire::{last_on_connection, Conn, Endpoint};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -373,7 +373,9 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
                 }
                 Err(e) => {
                     metrics.end_phase(cum_cycles, cum_instructions);
-                    if attempt < max_attempts {
+                    // A workload fault would repeat on every attempt of
+                    // the same deterministic simulation: settle it now.
+                    if attempt < max_attempts && !matches!(e, ExecError::Fault(_)) {
                         // Shutdown may have arrived while the attempt
                         // ran: abandon the claim instead of sleeping
                         // through the backoff. No `fail` record is
@@ -411,29 +413,66 @@ fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
     }
 }
 
+/// How many reply bytes a connection gathers before they go out. Each
+/// reply is flushed once, when it is complete, so a reply that fits
+/// leaves in one write: `status` on a 60-job queue (hostbench's
+/// `campaign`) is about 7 KB, and 16 KiB leaves room for specs that set
+/// every key. A longer reply goes out in buffer-sized writes.
+const REPLY_BUFFER: usize = 16 * 1024;
+
 fn handle_conn(shared: &Shared, conn: Conn) {
-    let Ok((mut reader, mut writer)) = conn.split() else {
-        return;
-    };
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
+    if let Ok((mut reader, writer)) = conn.split() {
+        serve_conn(shared, &mut reader, writer);
     }
-    let request = line.trim();
+}
+
+/// Answer request lines in order until the client closes the
+/// connection, a reply cannot be written, or a request that ends its
+/// connection (`claim`, `drain`, `shutdown`) has been answered.
+fn serve_conn(shared: &Shared, reader: &mut BufReader<Conn>, writer: impl Write) {
+    let mut writer = BufWriter::with_capacity(REPLY_BUFFER, writer);
+    let mut line = String::new();
+    let mut first = true;
+    loop {
+        line.clear();
+        if matches!(reader.read_line(&mut line), Ok(0) | Err(_)) {
+            return;
+        }
+        // A stopped server answers nothing more on a kept-alive
+        // connection: a late `compact` or `enqueue` would change the
+        // journal of a stopped server, which a new one may already hold.
+        if !first && shared.lock().shutdown {
+            return;
+        }
+        first = false;
+        let request = line.trim();
+        let replied = serve_request(shared, request, reader, &mut writer);
+        if replied.and_then(|()| writer.flush()).is_err() || last_on_connection(request) {
+            return;
+        }
+    }
+}
+
+fn serve_request(
+    shared: &Shared,
+    request: &str,
+    reader: &mut BufReader<Conn>,
+    writer: &mut dyn Write,
+) -> std::io::Result<()> {
     let (verb, rest) = match request.split_once(' ') {
         Some((v, r)) => (v, r.trim()),
         None => (request, ""),
     };
-    let _ = match verb {
+    match verb {
         "enqueue" => {
             let reply = handle_enqueue(shared, rest);
             writeln!(writer, "{reply}")
         }
-        "status" => handle_status(shared, &mut writer),
-        "results" => handle_results(shared, &mut writer),
-        "metrics" => handle_metrics(shared, &mut writer),
-        "drain" => handle_drain(shared, &mut writer),
-        "claim" => handle_claim(shared, &mut reader, &mut writer),
+        "status" => handle_status(shared, writer),
+        "results" => handle_results(shared, writer),
+        "metrics" => handle_metrics(shared, writer),
+        "drain" => handle_drain(shared, writer),
+        "claim" => handle_claim(shared, reader, writer),
         "compact" => {
             let reply = {
                 let mut st = shared.lock();
@@ -460,8 +499,7 @@ fn handle_conn(shared: &Shared, conn: Conn) {
             "reject unknown request {verb:?} (expected enqueue, status, results, metrics, \
              drain, claim, compact, or shutdown)"
         ),
-    };
-    let _ = writer.flush();
+    }
 }
 
 /// Enqueue with backpressure: parse strictly, validate, and admit only
@@ -536,16 +574,12 @@ fn handle_status(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()>
         st.running.len(),
         u8::from(st.draining),
     )?;
-    for (id, state) in st.journal.states() {
+    for job in st.journal.job_specs() {
+        let (id, state, spec) = job.map_err(|e| std::io::Error::other(e.to_string()))?;
         let name = match state {
             JobState::Pending if st.running.contains(&id) => "running",
             state => state.name(),
         };
-        let spec = st
-            .journal
-            .spec_line(id)
-            .map_err(|e| std::io::Error::other(e.to_string()))?
-            .unwrap_or_default();
         writeln!(writer, "job {id} {name} {spec}")?;
     }
     writeln!(writer, "end")
@@ -642,7 +676,7 @@ fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> 
 fn handle_claim(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
-    writer: &mut Conn,
+    writer: &mut dyn Write,
 ) -> std::io::Result<()> {
     let max_attempts = shared.retry.max_attempts.max(1);
     let (id, spec, attempt) = {
@@ -766,7 +800,7 @@ fn read_claim_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{ExecError, InProcessExecutor};
+    use crate::queue::InProcessExecutor;
     use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vax780_core::MeasuredWorkload;
@@ -798,10 +832,12 @@ mod tests {
             .collect()
     }
 
-    /// Counts executor invocations per job spec; optionally fails some.
+    /// Counts executor invocations per job spec; fails the jobs seeded
+    /// with `fail_seeds` and faults those seeded with `fault_seeds`.
     struct CountingExecutor {
         runs: AtomicUsize,
         fail_seeds: Vec<u64>,
+        fault_seeds: Vec<u64>,
     }
 
     impl Executor for CountingExecutor {
@@ -813,6 +849,9 @@ mod tests {
             self.runs.fetch_add(1, Ordering::SeqCst);
             if spec.seed.is_some_and(|s| self.fail_seeds.contains(&s)) {
                 return Err(ExecError::Failed("synthetic failure".to_string()));
+            }
+            if spec.seed.is_some_and(|s| self.fault_seeds.contains(&s)) {
+                return Err(ExecError::Fault("synthetic fault".to_string()));
             }
             InProcessExecutor.run(spec, None)
         }
@@ -892,6 +931,7 @@ mod tests {
         let executor = Arc::new(CountingExecutor {
             runs: AtomicUsize::new(0),
             fail_seeds: Vec::new(),
+            fault_seeds: Vec::new(),
         });
         let config = ServeConfig {
             journal: journal_path,
@@ -909,7 +949,9 @@ mod tests {
 
     /// A failing job settles as one `fail` record after its attempts run
     /// out, while its siblings complete. With no retries (`run`'s and
-    /// `sweep`'s policy) each poisoned job runs exactly once.
+    /// `sweep`'s policy) each poisoned job runs exactly once. A workload
+    /// fault settles on its first attempt under any budget: the same
+    /// deterministic simulation would fault again.
     #[test]
     fn retries_exhaust_into_one_fail_record() {
         for (retries, attempts) in [(2u32, 3usize), (0, 1)] {
@@ -917,7 +959,7 @@ mod tests {
             let journal_path = dir.join("queue.journal");
             {
                 let mut j = Journal::open(&journal_path).unwrap();
-                for seed in 7..=11 {
+                for seed in 7..=12 {
                     j.append_enqueue(&quick_spec(WorkloadKind::SciEng, seed))
                         .unwrap();
                 }
@@ -925,6 +967,7 @@ mod tests {
             let executor = Arc::new(CountingExecutor {
                 runs: AtomicUsize::new(0),
                 fail_seeds: vec![7, 9],
+                fault_seeds: vec![12],
             });
             let config = ServeConfig {
                 journal: journal_path.clone(),
@@ -934,14 +977,21 @@ mod tests {
                 ..ServeConfig::default()
             };
             let report = run_server(&config, None, executor.clone()).unwrap();
-            assert_eq!((report.done, report.failed), (3, 2), "retry {retries}");
-            // Each poisoned job runs `attempts` times, each sibling once.
-            assert_eq!(executor.runs.load(Ordering::SeqCst), 2 * attempts + 3);
+            assert_eq!((report.done, report.failed), (3, 3), "retry {retries}");
+            // Each poisoned job runs `attempts` times, the faulting job
+            // and each sibling once.
+            assert_eq!(executor.runs.load(Ordering::SeqCst), 2 * attempts + 4);
             let j = Journal::open(&journal_path).unwrap();
             for (id, state) in j.states() {
                 let line = j.result_line(id).unwrap().unwrap();
-                if state == JobState::Failed {
-                    assert!(line.contains(&format!("\"attempts\":{attempts}")), "{line}");
+                if id == 6 {
+                    assert!(line.contains("\"attempts\":1,"), "{line}");
+                    assert!(line.contains("synthetic fault"), "{line}");
+                } else if state == JobState::Failed {
+                    assert!(
+                        line.contains(&format!("\"attempts\":{attempts},")),
+                        "{line}"
+                    );
                     assert!(line.contains("synthetic failure"), "{line}");
                 } else {
                     assert_eq!(state, JobState::Done, "{line}");
@@ -1191,15 +1241,7 @@ mod tests {
     #[test]
     fn shutdown_wakes_the_blocked_listener() {
         let dir = tempdir("vax-serve-wake");
-        let port = std::net::TcpListener::bind("127.0.0.1:0")
-            .unwrap()
-            .local_addr()
-            .unwrap()
-            .port();
-        for endpoint in [
-            Endpoint::Unix(dir.join("s.sock")),
-            Endpoint::Tcp(format!("127.0.0.1:{port}")),
-        ] {
+        for endpoint in [Endpoint::Unix(dir.join("s.sock")), loopback_tcp()] {
             let server = spawn_idle_server(&dir, &endpoint);
             let client = crate::wire::Client::new(endpoint.clone(), Duration::from_secs(5));
             assert_eq!(client.request_line("shutdown").unwrap(), "ok");
@@ -1213,21 +1255,21 @@ mod tests {
     }
 
     /// No sleep on the request path: an idle server answers each
-    /// request as soon as it connects, so 100 round trips take far less
-    /// than 100 accept polls would.
+    /// request as soon as it connects, so 100 round trips, each on a
+    /// connection of its own, take far less than 100 accept polls would.
     #[test]
     fn status_round_trips_pay_no_sleep_floor() {
         let dir = tempdir("vax-serve-rtt");
         let endpoint = Endpoint::Unix(dir.join("s.sock"));
         let server = spawn_idle_server(&dir, &endpoint);
-        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        let client = || crate::wire::Client::new(endpoint.clone(), Duration::from_secs(5));
         // The first request also waits for the server to bind.
-        client
+        client()
             .request_stream("status", &mut std::io::sink())
             .unwrap();
         let started = Instant::now();
         for _ in 0..100 {
-            client
+            client()
                 .request_stream("status", &mut std::io::sink())
                 .unwrap();
         }
@@ -1236,7 +1278,7 @@ mod tests {
             elapsed < Duration::from_secs(1),
             "100 round trips took {elapsed:?}"
         );
-        client.request_line("shutdown").unwrap();
+        client().request_line("shutdown").unwrap();
         server
             .recv_timeout(Duration::from_secs(2))
             .unwrap()
@@ -1285,5 +1327,305 @@ mod tests {
         };
         run_server(&ref_config, None, Arc::new(InProcessExecutor)).unwrap();
         assert_eq!(results_of(&journal_path), results_of(&ref_path));
+    }
+
+    /// A loopback TCP endpoint on a port that was free a moment ago.
+    fn loopback_tcp() -> Endpoint {
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .port();
+        Endpoint::Tcp(format!("127.0.0.1:{port}"))
+    }
+
+    /// A journal at `path` with `jobs` jobs shaped like hostbench's
+    /// `campaign` (full-width seeds, every memory key set), returning
+    /// their specs in id order. The first `settled` settle, alternately
+    /// done and failed: the first half of them compacted into the
+    /// snapshot, the rest in the tail. The others stay pending.
+    fn campaign_journal(path: &Path, jobs: usize, settled: usize) -> Vec<JobSpec> {
+        let mut j = Journal::open(path).unwrap();
+        let specs: Vec<JobSpec> = (0..jobs as u64)
+            .map(|i| {
+                let mut spec =
+                    quick_spec(WorkloadKind::ALL[i as usize % 5], 0x9e37_79b9_7f4a_7c15 ^ i);
+                spec.cache_kb = Some(4 << (i % 4));
+                spec.cache_ways = Some(1 << (i % 3));
+                spec.tb_entries = Some(64 << (i % 3));
+                spec.write_buffer = Some(1 + i as u32 % 4);
+                spec
+            })
+            .collect();
+        for spec in &specs {
+            j.append_enqueue(spec).unwrap();
+        }
+        let m = InProcessExecutor.run(&specs[0], None).unwrap();
+        for id in 1..=settled as JobId {
+            if id == settled as JobId / 2 + 1 {
+                j.compact().unwrap();
+            }
+            j.append_start(id, 1).unwrap();
+            if id.is_multiple_of(2) {
+                j.append_fail(id, 1, "synthetic failure").unwrap();
+            } else {
+                j.append_complete(id, &m).unwrap();
+            }
+        }
+        specs
+    }
+
+    /// `status` on a 60-job queue whose settled jobs span the snapshot
+    /// and the tail (plus pending and running jobs), with its expected
+    /// bytes spelled out from the specs.
+    fn sixty_job_status(name: &str) -> (Shared, String) {
+        let dir = tempdir(name);
+        let specs = campaign_journal(&dir.join("queue.journal"), 60, 40);
+        let shared = test_shared(
+            Journal::open(&dir.join("queue.journal")).unwrap(),
+            256,
+            None,
+        );
+        {
+            let mut st = shared.lock();
+            st.queue.extend(43..=60);
+            st.running.extend([41, 42]);
+        }
+        let mut expected =
+            "ok capacity 256 pending 18 running 2 done 20 failed 20 draining 0\n".to_string();
+        for (id, spec) in (1u64..).zip(&specs) {
+            let state = match id {
+                41 | 42 => "running",
+                id if id > 40 => "pending",
+                id if id.is_multiple_of(2) => "failed",
+                _ => "done",
+            };
+            expected.push_str(&format!("job {id} {state} {}\n", spec.render()));
+        }
+        expected.push_str("end\n");
+        (shared, expected)
+    }
+
+    /// `status` reads each settled spec alone, through one set of
+    /// handles per pass; the reply is the same bytes the spec lines
+    /// always gave, from the snapshot and from the tail.
+    #[test]
+    fn status_lists_settled_specs_from_snapshot_and_tail_unchanged() {
+        let (shared, expected) = sixty_job_status("vax-serve-status-specs");
+        assert_eq!(shared.lock().journal.generation(), 1);
+        let mut out = Vec::new();
+        handle_status(&shared, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    /// Counts the writes that reach the connection.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `status` reply on a queue the size of hostbench's `campaign`
+    /// (about 7 KB) leaves the connection handler in one write.
+    #[test]
+    fn a_sixty_job_status_reply_leaves_in_one_write() {
+        let (shared, expected) = sixty_job_status("vax-serve-status-one-write");
+        assert!(expected.len() > 6_000, "{} bytes", expected.len());
+        let (mut client, server) = std::os::unix::net::UnixStream::pair().unwrap();
+        client.write_all(b"status\n").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut writer = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        serve_conn(
+            &shared,
+            &mut BufReader::new(Conn::Unix(server)),
+            &mut writer,
+        );
+        assert_eq!(String::from_utf8(writer.bytes).unwrap(), expected);
+        assert_eq!(writer.writes, 1);
+    }
+
+    /// Read one reply from a raw connection: its first line, or
+    /// everything through `end` if `multi_line`.
+    fn read_reply(reader: &mut impl BufRead, multi_line: bool) -> String {
+        let mut reply = String::new();
+        loop {
+            let start = reply.len();
+            if reader.read_line(&mut reply).unwrap() == 0 || !multi_line {
+                return reply;
+            }
+            if &reply[start..] == "end\n" {
+                return reply;
+            }
+        }
+    }
+
+    /// Send `request` on a fresh connection, half-close it, and read
+    /// everything the server sends until it closes the connection.
+    fn one_shot_to_eof(endpoint: &Endpoint, request: &str) -> String {
+        let mut conn = endpoint.connect(Duration::from_secs(5)).unwrap();
+        conn.write_all(format!("{request}\n").as_bytes()).unwrap();
+        match &conn {
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write).unwrap(),
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write).unwrap(),
+        }
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut conn, &mut reply).unwrap();
+        reply
+    }
+
+    /// A client that sends one line and reads the reply, or half-closes
+    /// and reads to EOF, gets the bytes a one-request connection always
+    /// got, on a Unix socket and on TCP; the server keeps serving.
+    #[test]
+    fn a_one_shot_client_gets_the_same_bytes() {
+        let dir = tempdir("vax-serve-one-shot");
+        let idle = "ok capacity 256 pending 0 running 0 done 0 failed 0 draining 0\nend\n";
+        let unknown = "reject unknown request \"bogus\" (expected enqueue, status, results, \
+                       metrics, drain, claim, compact, or shutdown)\n";
+        for endpoint in [Endpoint::Unix(dir.join("s.sock")), loopback_tcp()] {
+            let server = spawn_idle_server(&dir, &endpoint);
+            for (request, reply, multi_line) in [("status", idle, true), ("bogus", unknown, false)]
+            {
+                // Connect, one line, read the reply, close.
+                let mut conn = BufReader::new(endpoint.connect(Duration::from_secs(5)).unwrap());
+                conn.get_mut()
+                    .write_all(format!("{request}\n").as_bytes())
+                    .unwrap();
+                assert_eq!(read_reply(&mut conn, multi_line), reply, "{endpoint}");
+                drop(conn);
+                assert_eq!(one_shot_to_eof(&endpoint, request), reply, "{endpoint}");
+            }
+            let client = crate::wire::Client::new(endpoint.clone(), Duration::from_secs(5));
+            assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+            server
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap();
+        }
+    }
+
+    /// Once the server has stopped, a line on a kept-alive connection
+    /// gets no reply and changes nothing: the handler closes the
+    /// connection before a late `compact` could rewrite the journal.
+    #[test]
+    fn a_stopped_server_answers_nothing_more_on_a_kept_connection() {
+        let dir = tempdir("vax-serve-stopped-kept");
+        campaign_journal(&dir.join("queue.journal"), 4, 4);
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let server = spawn_idle_server(&dir, &endpoint);
+        let mut kept = BufReader::new(endpoint.connect(Duration::from_secs(5)).unwrap());
+        kept.get_mut().write_all(b"status\n").unwrap();
+        let status = read_reply(&mut kept, true);
+        assert!(status.starts_with("ok capacity"), "{status}");
+        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+        server
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        let files = || {
+            ["queue.journal", "queue.journal.snap"]
+                .map(|name| std::fs::read(dir.join(name)).unwrap_or_default())
+        };
+        let before = files();
+        kept.get_mut().write_all(b"compact\n").unwrap();
+        kept.get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reply = String::new();
+        assert_eq!(kept.read_line(&mut reply).unwrap(), 0, "{reply}");
+        assert_eq!(files(), before);
+    }
+
+    /// A sink that fails on the first line it is given.
+    struct FailingSink;
+
+    impl Write for FailingSink {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("sink full"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reply left half read (its sink failed) takes its connection
+    /// with it: the next request dials again and reads its own reply,
+    /// not the rest of the last one.
+    #[test]
+    fn a_failed_sink_leaves_no_kept_connection() {
+        let dir = tempdir("vax-serve-failed-sink");
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let server = spawn_idle_server(&dir, &endpoint);
+        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        let err = client
+            .request_stream("status", &mut FailingSink)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "sink full");
+        let mut out = Vec::new();
+        assert_eq!(client.request_stream("status", &mut out).unwrap(), 1);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "ok capacity 256 pending 0 running 0 done 0 failed 0 draining 0\n"
+        );
+        assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+        server
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+    }
+
+    /// On one kept-alive TCP connection, 100 `status` replies and a
+    /// 60-line `drain` take far less than one 40 ms delayed-ACK stall
+    /// per reply would add (4 s for the statuses alone).
+    #[test]
+    fn kept_alive_tcp_requests_pay_no_delayed_ack_stall() {
+        let dir = tempdir("vax-serve-tcp-kept");
+        campaign_journal(&dir.join("queue.journal"), 60, 60);
+        let endpoint = loopback_tcp();
+        let server = spawn_idle_server(&dir, &endpoint);
+        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        // The first request also waits for the server to bind.
+        client
+            .request_stream("status", &mut std::io::sink())
+            .unwrap();
+        let started = Instant::now();
+        for _ in 0..100 {
+            assert_eq!(
+                client
+                    .request_stream("status", &mut std::io::sink())
+                    .unwrap(),
+                61
+            );
+        }
+        assert_eq!(
+            client
+                .request_stream("drain", &mut std::io::sink())
+                .unwrap(),
+            60
+        );
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "100 statuses and a drain took {elapsed:?}"
+        );
+        server
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
     }
 }

@@ -1,7 +1,8 @@
-//! The wire protocol: one request line per connection.
+//! The wire protocol: request lines on a kept-alive connection.
 //!
 //! The server listens on a Unix socket (default) or a TCP address.
-//! A client connects, writes one request line, and reads the reply:
+//! A client connects, writes one request line, reads the reply, and may
+//! then send the next request on the same connection:
 //!
 //! | request          | reply                                        |
 //! |------------------|----------------------------------------------|
@@ -19,16 +20,24 @@
 //! | `shutdown`       | `ok` — stop accepting, abandon pending work  |
 //!
 //! Everything is UTF-8 lines; multi-line replies are terminated by a
-//! bare `end`, so clients never need length framing. `claim` is the
-//! one request that holds its connection open: the attempt runs on the
-//! worker's machine while the server waits, and a dropped connection
-//! counts as a retryable failed attempt.
+//! bare `end`, so clients never need length framing. The server answers
+//! a connection's requests in order until the client closes it, writing
+//! each reply with one write when it fits its reply buffer; `drain`
+//! writes each result line as it settles. `claim`, `drain` and
+//! `shutdown` are each the last request on their connection: the server
+//! closes it after the reply. `claim` holds its connection open while
+//! the attempt runs on the worker's machine, and a dropped connection
+//! counts as a retryable failed attempt. A server that has stopped
+//! answers no further request on a kept-alive connection; it closes the
+//! connection instead. A one-shot client (connect, one line, read the
+//! reply, close) gets the same bytes on any connection.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Where the server listens / the client connects.
@@ -206,26 +215,65 @@ impl Write for Conn {
     }
 }
 
-/// A one-request client.
+/// Whether the server closes the connection once it has answered
+/// `request`: `claim`, `drain` and `shutdown` are each the last request
+/// on their connection.
+pub(crate) fn last_on_connection(request: &str) -> bool {
+    matches!(
+        request.split_whitespace().next(),
+        Some("claim" | "drain" | "shutdown")
+    )
+}
+
+/// A client that keeps one connection to the server.
+///
+/// The first request dials (retrying for up to the client's patience);
+/// later requests reuse the connection, each written with one write. The
+/// connection is kept only once a reply has been read whole, the single
+/// line or everything up to `end`. It is dropped after `claim`, `drain`
+/// or `shutdown`, and after any I/O error, early EOF or sink error; the
+/// next request dials again. A failed request is returned as an error
+/// and never resent, so an `enqueue` cannot land twice.
 #[derive(Debug)]
 pub struct Client {
     endpoint: Endpoint,
     patience: Duration,
+    /// The kept-alive connection, present between requests.
+    conn: Mutex<Option<BufReader<Conn>>>,
 }
 
 impl Client {
     /// A client for the given endpoint, retrying connects for up to
     /// `patience`.
     pub fn new(endpoint: Endpoint, patience: Duration) -> Client {
-        Client { endpoint, patience }
+        Client {
+            endpoint,
+            patience,
+            conn: Mutex::new(None),
+        }
     }
 
+    /// Take the kept-alive connection, or dial one, and write `request`
+    /// to it as one line. The caller owns the connection until it hands
+    /// it back through [`Client::keep`], so any error path drops it.
     fn send(&self, request: &str) -> io::Result<BufReader<Conn>> {
-        let conn = self.endpoint.connect(self.patience)?;
-        let (reader, mut writer) = conn.split()?;
-        writeln!(writer, "{request}")?;
-        writer.flush()?;
+        let kept = self.conn.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let mut reader = match kept {
+            Some(reader) => reader,
+            None => BufReader::new(self.endpoint.connect(self.patience)?),
+        };
+        reader
+            .get_mut()
+            .write_all(format!("{request}\n").as_bytes())?;
         Ok(reader)
+    }
+
+    /// Keep a connection whose reply to `request` was read whole, unless
+    /// the server closes it after that request.
+    fn keep(&self, request: &str, reader: BufReader<Conn>) {
+        if !last_on_connection(request) {
+            *self.conn.lock().unwrap_or_else(|e| e.into_inner()) = Some(reader);
+        }
     }
 
     /// Send a request expecting a single reply line.
@@ -243,6 +291,9 @@ impl Client {
                 "server closed the connection without replying",
             ));
         }
+        if line.ends_with('\n') {
+            self.keep(request, reader);
+        }
         Ok(line.trim_end().to_string())
     }
 
@@ -252,12 +303,13 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failure, or EOF before `end`.
+    /// I/O failure, a failing `out`, or EOF before `end`.
     pub fn request_stream(&self, request: &str, out: &mut dyn Write) -> io::Result<usize> {
         let mut reader = self.send(request)?;
         let mut lines = 0usize;
+        let mut line = String::new();
         loop {
-            let mut line = String::new();
+            line.clear();
             if reader.read_line(&mut line)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -265,6 +317,9 @@ impl Client {
                 ));
             }
             if line.trim_end() == "end" {
+                if line.ends_with('\n') {
+                    self.keep(request, reader);
+                }
                 return Ok(lines);
             }
             out.write_all(line.as_bytes())?;
@@ -297,9 +352,22 @@ mod tests {
         );
     }
 
+    /// One client, three requests, one connection: the server accepts
+    /// once and every request arrives on that connection.
     #[test]
-    fn unix_round_trip_one_request() {
-        let dir = std::env::temp_dir().join("vax-wire-test");
+    fn one_client_sends_its_requests_on_one_connection() {
+        const EXCHANGES: [(&str, &str); 3] = [
+            ("enqueue workload=sci-eng", "ok 1\n"),
+            (
+                "status",
+                "ok pending 1\njob 1 pending workload=sci-eng\nend\n",
+            ),
+            (
+                "compact",
+                "ok compacted 0 settled record(s) into generation 1\n",
+            ),
+        ];
+        let dir = std::env::temp_dir().join("vax-wire-kept");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let endpoint = Endpoint::Unix(dir.join("s.sock"));
@@ -307,18 +375,63 @@ mod tests {
         assert_eq!(listener.local_endpoint().unwrap(), endpoint);
         let server = std::thread::spawn(move || {
             let (mut reader, mut writer) = listener.accept().unwrap().split().unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "status");
-            writeln!(writer, "ok pending 0").unwrap();
-            writeln!(writer, "end").unwrap();
+            for (request, reply) in EXCHANGES {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap() == 0 {
+                    return Err(format!(
+                        "`{request}` did not arrive on the first connection"
+                    ));
+                }
+                assert_eq!(line, format!("{request}\n"));
+                writer.write_all(reply.as_bytes()).unwrap();
+            }
+            Ok(())
         });
         let client = Client::new(endpoint, Duration::from_secs(2));
+        let first = client.request_line(EXCHANGES[0].0);
         let mut out = Vec::new();
-        let lines = client.request_stream("status", &mut out).unwrap();
-        assert_eq!(lines, 1);
-        assert_eq!(String::from_utf8(out).unwrap(), "ok pending 0\n");
-        server.join().unwrap();
+        let second = client.request_stream(EXCHANGES[1].0, &mut out);
+        let third = client.request_line(EXCHANGES[2].0);
+        server.join().unwrap().unwrap();
+        assert_eq!(first.unwrap(), "ok 1");
+        assert_eq!(second.unwrap(), 2);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "ok pending 1\njob 1 pending workload=sci-eng\n"
+        );
+        assert!(third.unwrap().starts_with("ok compacted"));
+    }
+
+    /// After a request that ends its connection on the server's side,
+    /// the client lets that connection go and dials for the next one.
+    #[test]
+    fn a_connection_ending_request_is_not_kept() {
+        const ENDING: [&str; 3] = ["shutdown", "drain", "claim"];
+        let dir = std::env::temp_dir().join("vax-wire-ending");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let listener = endpoint.bind().unwrap();
+        let server = std::thread::spawn(move || {
+            for ending in ENDING {
+                let (mut reader, mut writer) = listener.accept().unwrap().split().unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert_eq!(line, format!("{ending}\n"));
+                writer.write_all(b"ok\n").unwrap();
+                line.clear();
+                if reader.read_line(&mut line).unwrap() != 0 {
+                    return Err(format!("`{}` followed `{ending}`", line.trim_end()));
+                }
+            }
+            Ok(())
+        });
+        let client = Client::new(endpoint, Duration::from_secs(2));
+        let replies: Vec<_> = ENDING.iter().map(|r| client.request_line(r)).collect();
+        server.join().unwrap().unwrap();
+        for reply in replies {
+            assert_eq!(reply.unwrap(), "ok");
+        }
     }
 
     #[test]

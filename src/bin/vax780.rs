@@ -819,11 +819,9 @@ fn cmd_status(args: &[String]) -> ExitCode {
                     out,
                     "queue {queue}: pending {pending} done {done} failed {failed}"
                 )?;
-                for (id, state) in journal.states() {
-                    let spec = journal
-                        .spec_line(id)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?
-                        .unwrap_or_default();
+                for job in journal.job_specs() {
+                    let (id, state, spec) =
+                        job.map_err(|e| std::io::Error::other(e.to_string()))?;
                     writeln!(out, "job {id} {} {spec}", state.name())?;
                 }
                 Ok(())
@@ -1006,7 +1004,8 @@ fn cmd_worker(args: &[String]) -> ExitCode {
     eprintln!("vax780 worker: claiming from {endpoint}");
     let (mut done, mut failed) = (0usize, 0usize);
     loop {
-        // One claim per connection, mirroring the rest of the protocol.
+        // One claim per connection: the server arms the attempt's
+        // deadline on the claim's socket and closes it after the ack.
         let conn = match endpoint.connect(Duration::from_secs(5)) {
             Ok(conn) => conn,
             Err(e) => {

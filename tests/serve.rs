@@ -380,3 +380,40 @@ fn remote_tcp_worker_settles_the_queue_bit_identical() {
         "remote execution must reproduce in-process results bit for bit"
     );
 }
+
+/// A deterministic workload fault settles on its first attempt under
+/// `drain`'s default retry budget: another attempt would run the same
+/// seeded simulation into the same fault. This seed's timesharing-light
+/// image faults because two kernel interrupt service routines do not
+/// save R2 and R3, so the pin moves once the generator is fixed.
+#[test]
+fn a_workload_fault_settles_on_its_first_attempt() {
+    let dir = tempdir("vax780-serve-fault-once");
+    let journal = dir.join("queue.journal");
+    let out = vax780()
+        .args(["enqueue", "--queue"])
+        .arg(&journal)
+        .args([
+            "--spec",
+            "workload=timesharing-light instructions=1000000 warmup=50000 \
+             seed=9766933028950949136",
+        ])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let out = vax780()
+        .args(["drain", "--queue"])
+        .arg(&journal)
+        .arg("--serial")
+        .output()
+        .expect("runs");
+    assert!(!out.status.success(), "a failed job fails the drain");
+    let result = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(result.lines().count(), 1, "{result}");
+    assert!(
+        result.contains("\"failed\":true,\"attempts\":1,"),
+        "{result}"
+    );
+    assert!(result.contains("0x00063e50"), "{result}");
+    assert!(result.contains("pc=0x00019930"), "{result}");
+}
