@@ -110,10 +110,10 @@ test "$SETTLED" -lt 5
 diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/merged.jsonl"
 test "$(wc -l < "$CKPT_DIR/merged.jsonl")" -eq 5
 
-# Compaction gate: fold settled records into the v2 snapshot segment
-# mid-campaign (over the socket, with auto-compaction armed), kill -9
-# the server, compact the crash survivor again offline, and resume —
-# the merged results must still match the reference bit for bit.
+# Compaction gate: compact the journal's settled jobs mid-campaign
+# (over the socket, with auto-compaction armed), kill -9 the server,
+# compact the crash survivor again offline, and resume — the merged
+# results must still match the reference bit for bit.
 "$VAX780" serve --queue "$CKPT_DIR/compact.journal" \
     --socket "$CKPT_DIR/csock" --jobs 2 --compact-every 2 &
 SERVE_PID=$!
@@ -126,14 +126,25 @@ done
 "$VAX780" compact --socket "$CKPT_DIR/csock"
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" || true
-# The snapshot segment exists and carries the v2 header.
-test -s "$CKPT_DIR/compact.journal.snap"
-grep -q '^vax-queue-snapshot v2 ' "$CKPT_DIR/compact.journal.snap"
+# The journal is one file: its v3 header counts at least one compacted
+# job, and no sibling (`.snap`, `.tmp`) is left beside it.
+head -n 1 "$CKPT_DIR/compact.journal" \
+    | grep -q '^vax-queue-journal v3 next [0-9]* settled [1-9]'
+for sibling in "$CKPT_DIR"/compact.journal.*; do
+    test ! -e "$sibling"
+done
 # Offline compaction of the crash survivor must be safe too.
 "$VAX780" compact --queue "$CKPT_DIR/compact.journal"
 "$VAX780" drain --queue "$CKPT_DIR/compact.journal" --jobs 2 \
     --out "$CKPT_DIR/compacted.jsonl"
 diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/compacted.jsonl"
+# An offline reader of a journal that does not exist fails and creates
+# nothing.
+if "$VAX780" status --queue "$CKPT_DIR/missing.journal" 2> /dev/null; then
+    echo "status --queue accepted a missing journal" >&2
+    exit 1
+fi
+test ! -e "$CKPT_DIR/missing.journal"
 
 # Remote-worker gate: a server with zero local workers on TCP, one
 # `vax780 worker` process settling the queue over the claim protocol.

@@ -1,70 +1,62 @@
-//! The persistent job-queue journal, `vax-queue-journal v2`.
+//! The persistent job-queue journal, `vax-queue-journal v3`.
 //!
-//! The journal splits the queue across **two segments** so it stays
-//! sublinear in its own history:
+//! One file holds the whole queue. A header and an index describe the
+//! jobs the last compaction settled; their records follow back to back,
+//! and after them come the live records, one flushed append per
+//! lifecycle transition:
 //!
-//! - the **tail** (`<path>`) is the append-only live segment, one
-//!   flushed record per lifecycle transition:
+//! ```text
+//! vax-queue-journal v3 next <N> settled <S>
+//! entry <id> <enqueue-len> <settle-len> done|failed
+//! ...                                   (S index lines, ids increasing)
+//! enqueue <id> [client=<name>] <spec line>
+//! complete <id> instructions <N> cycles <C>
+//! <upc-monitor codec body>
+//! end
+//! ...                                   (the S compacted jobs, id order:
+//!                                        each its `enqueue` record, then
+//!                                        its `complete` section or `fail`
+//!                                        line, copied verbatim)
+//! enqueue <id> [client=<name>] <spec line>
+//! start <id> attempt <k>
+//! complete <id> instructions <N> cycles <C>
+//! <upc-monitor codec body>
+//! end
+//! fail <id> attempts <k> message <escaped text>
+//! ...                                   (live records, appended)
+//! ```
 //!
-//!   ```text
-//!   vax-queue-journal v2 generation <G> next <N>
-//!   enqueue <id> [client=<name>] <spec line>
-//!   start <id> attempt <k>
-//!   complete <id> instructions <N> cycles <C>
-//!   <upc-monitor codec body>
-//!   end
-//!   fail <id> attempts <k> message <escaped text>
-//!   ```
-//!
-//! - the **snapshot** (`<path>.snap`) holds compacted settled jobs in
-//!   final form behind an offset index, so neither replay nor result
-//!   streaming ever needs to read their bodies into memory:
-//!
-//!   ```text
-//!   vax-queue-snapshot v2 generation <G> jobs <N>
-//!   index
-//!   entry <id> <rel-offset> <len> done|failed
-//!   ...
-//!   end
-//!   job <id> <spec line>
-//!   complete <id> instructions <N> cycles <C>
-//!   <upc-monitor codec body>
-//!   end
-//!   ...
-//!   ```
+//! The index carries lengths, not offsets: the compacted records are
+//! contiguous, so a job's offset is the running sum of the lengths
+//! before it.
 //!
 //! **Durability.** Each append is written and `flush()`ed before the
 //! caller's in-memory state advances, so every transition the server
 //! acted on survives the death of the process (`kill -9`, a panic, an
 //! OOM kill). Appends are not `fsync`ed: an OS crash or power loss can
 //! lose the most recent transitions, and replay then re-runs those
-//! jobs. Compaction is the one synced path: both replacement files are
-//! synced before either is renamed into place.
+//! jobs. Compaction is the one synced path: [`Journal::compact`] writes
+//! the whole new journal to `<path>.tmp`, syncs it, and renames it over
+//! the journal. A kill at any byte leaves the old journal (and a stray
+//! `.tmp` the next compaction overwrites) or the new one, and both
+//! replay to the same queue. An OS crash can also undo the rename,
+//! which leaves the old journal and, again, the same queue.
 //!
-//! [`Journal::compact`] migrates every settled job from the tail into
-//! a fresh snapshot and rewrites the tail with only the unsettled
-//! records. Compaction is crash-safe by write-new-then-rename: both
-//! replacement files are fully written and synced to temporaries,
-//! then the snapshot is renamed into place *before* the tail. A
-//! `kill -9` at any byte offset therefore leaves one of three states —
-//! old pair, new snapshot + old tail, or new pair — and
-//! [`Journal::open`] replays each to the identical queue: a tail whose
-//! generation lags the snapshot is the pre-compaction tail, so its
-//! records for jobs the snapshot already settled are skipped as the
-//! expected overlap rather than corruption.
+//! Replay is **O(unsettled)** in memory: [`Journal::open`] reads the
+//! header and the index, seeks past the compacted records without
+//! reading them, and consumes the live records through a buffered line
+//! reader one record at a time (a partial trailing append is dropped
+//! and truncated, damage anywhere else is a hard
+//! [`JournalError::Corrupt`]). Every settled job, compacted or live,
+//! is the byte spans of its two records, its `enqueue` record and its
+//! settle record; only unsettled jobs keep their parsed spec in memory.
+//! Result lines for `results`/`drain` are re-derived by seeking to
+//! those spans, so a fully settled million-job queue streams without
+//! ever materializing the settled set.
 //!
-//! Replay is **O(unsettled)** in memory: the tail is consumed through
-//! a buffered line reader one record at a time (a partial trailing
-//! append is dropped and truncated, damage anywhere else is a hard
-//! [`JournalError::Corrupt`]), settled jobs collapse to fixed-size
-//! offset-table entries, and only unsettled jobs keep their parsed
-//! spec in memory. Result lines for `results`/`drain` are re-derived by
-//! seeking to the recorded offsets, so a fully settled million-job
-//! queue streams without ever materializing the settled set.
-//!
-//! Any other header — a `vax-queue-journal v1` file, or a retired
-//! `vax-campaign-checkpoint v1` — is refused as corrupt, with the header
-//! it found echoed in the error.
+//! Any other header — a `vax-queue-journal v2` or `v1` file, or a
+//! retired `vax-campaign-checkpoint v1` — is refused as corrupt, with
+//! the header it found echoed in the error.
 
 use crate::spec::JobSpec;
 use std::collections::BTreeMap;
@@ -75,8 +67,7 @@ use std::path::{Path, PathBuf};
 use upc_monitor::codec;
 use vax780_core::MeasuredWorkload;
 
-const HEADER_V2: &str = "vax-queue-journal v2";
-const SNAP_HEADER: &str = "vax-queue-snapshot v2";
+const HEADER: &str = "vax-queue-journal v3";
 
 /// Monotonic job identifier, assigned at enqueue time.
 pub type JobId = u64;
@@ -154,30 +145,21 @@ pub struct PendingJob {
     pub client: String,
     /// `start` records seen (attempts begun, across all server lives).
     pub starts: u32,
-    /// Byte offset of the `enqueue` record in the tail.
+    /// Byte offset of the `enqueue` record.
     enqueue_at: u64,
     /// Byte length of the `enqueue` record (newline included).
     enqueue_len: u32,
 }
 
-/// Which segment a settled record lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    Snapshot,
-    Tail,
-}
-
-/// One settled job, reduced to an offset-table entry. The record
-/// bodies stay on disk; this is all the memory a settled job costs.
+/// One settled job, reduced to the byte spans of its two records. The
+/// records stay on disk; this is all the memory a settled job costs.
 #[derive(Debug, Clone, Copy)]
 struct SettledRef {
-    seg: Segment,
-    /// Tail: offset/length of the `enqueue` record carrying the spec.
-    /// Snapshot: unused (the record's own `job` line carries it).
-    spec_at: u64,
-    spec_len: u32,
-    /// Offset of the settle record (`complete`/`fail` in the tail, the
-    /// whole `job ...` record in the snapshot).
+    /// Offset and length of the `enqueue` record carrying the spec.
+    enqueue_at: u64,
+    enqueue_len: u32,
+    /// Offset and length of the settle record: the `complete` section
+    /// or the `fail` line.
     at: u64,
     len: u64,
     kind: JobState,
@@ -282,6 +264,15 @@ fn render_failed(id: JobId, spec_render: &str, attempts: u32, message: &str) -> 
     )
 }
 
+/// The `enqueue` record for one job.
+fn enqueue_record(id: JobId, client: &str, spec: &JobSpec) -> String {
+    if client.is_empty() {
+        format!("enqueue {id} {}\n", spec.render())
+    } else {
+        format!("enqueue {id} client={client} {}\n", spec.render())
+    }
+}
+
 /// Buffered line reader that tracks byte offsets and whether each line
 /// was newline-terminated — the streaming replacement for the v1
 /// whole-file `read_to_string` walk. Invalid UTF-8 is surfaced as a
@@ -292,7 +283,7 @@ struct LineReader<R> {
     buf: Vec<u8>,
 }
 
-impl<R: BufRead> LineReader<R> {
+impl<R: BufRead + Seek> LineReader<R> {
     fn new(inner: R) -> LineReader<R> {
         LineReader {
             inner,
@@ -321,12 +312,33 @@ impl<R: BufRead> LineReader<R> {
             terminated,
         )))
     }
+
+    /// Continue at byte `at`.
+    fn seek(&mut self, at: u64) -> std::io::Result<()> {
+        self.inner.seek(SeekFrom::Start(at))?;
+        self.pos = at;
+        Ok(())
+    }
 }
 
-fn snap_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".snap");
-    PathBuf::from(os)
+/// One index line: `entry <id> <enqueue-len> <settle-len> done|failed`.
+fn parse_entry(line: &str) -> Option<(JobId, u32, u64, JobState)> {
+    let mut words = line.split_ascii_whitespace();
+    if words.next()? != "entry" {
+        return None;
+    }
+    let id = words.next()?.parse().ok()?;
+    let enqueue_len = words.next()?.parse().ok()?;
+    let len = words.next()?.parse().ok()?;
+    let kind = match words.next()? {
+        "done" => JobState::Done,
+        "failed" => JobState::Failed,
+        _ => return None,
+    };
+    words
+        .next()
+        .is_none()
+        .then_some((id, enqueue_len, len, kind))
 }
 
 fn is_record_start(t: &str) -> bool {
@@ -345,14 +357,29 @@ fn read_span(file: &mut File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Read the first line, newline included, of the `len`-byte record at
-/// `at` — the whole record if it holds no newline. It reads in small
-/// chunks, so a head line costs one short read however long its record.
-fn read_head(file: &mut File, at: u64, len: u64) -> std::io::Result<Vec<u8>> {
+/// Read a settled job's two records into one buffer, its `enqueue`
+/// record first. A compacted job's records are adjacent: one read.
+fn read_records(file: &mut File, r: &SettledRef) -> std::io::Result<Vec<u8>> {
+    let head = r.enqueue_len as usize;
+    let mut bytes = vec![0u8; head + r.len as usize];
+    file.seek(SeekFrom::Start(r.enqueue_at))?;
+    if r.enqueue_at + u64::from(r.enqueue_len) == r.at {
+        file.read_exact(&mut bytes)?;
+    } else {
+        file.read_exact(&mut bytes[..head])?;
+        file.seek(SeekFrom::Start(r.at))?;
+        file.read_exact(&mut bytes[head..])?;
+    }
+    Ok(bytes)
+}
+
+/// Copy `len` bytes at `at` from an open file into `out`.
+fn copy_span(file: &mut File, at: u64, len: u64, out: &mut impl Write) -> std::io::Result<()> {
     file.seek(SeekFrom::Start(at))?;
-    let mut head = Vec::new();
-    BufReader::with_capacity(512, Read::take(&*file, len)).read_until(b'\n', &mut head)?;
-    Ok(head)
+    if std::io::copy(&mut Read::take(&mut *file, len), out)? != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 /// What one settled record streams back as, before JSON rendering.
@@ -373,23 +400,22 @@ enum StreamedOutcome {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    snap_path: PathBuf,
-    generation: u64,
     next_id: JobId,
-    tail_len: u64,
+    /// Bytes of the file that replay accepted, plus every append since.
+    len: u64,
     pending: BTreeMap<JobId, PendingJob>,
     settled: BTreeMap<JobId, SettledRef>,
     done: usize,
     failed: usize,
-    settled_in_tail: usize,
+    settled_live: usize,
     clients: BTreeMap<String, usize>,
     warnings: Vec<String>,
 }
 
 impl Journal {
-    /// Open `path`, creating the v2 pair if missing or replaying it if
-    /// present. A torn trailing tail append is dropped with a warning
-    /// and the tail truncated back to the last good byte.
+    /// Open `path`, creating an empty journal if missing or replaying
+    /// it if present. A torn trailing append is dropped with a warning
+    /// and the file truncated back to the last good byte.
     ///
     /// One writer at a time: the journal has no cross-process lock, so
     /// a server and an offline `enqueue` must not extend the same file
@@ -402,34 +428,22 @@ impl Journal {
     pub fn open(path: &Path) -> Result<Journal, JournalError> {
         let mut journal = Journal {
             path: path.to_path_buf(),
-            snap_path: snap_path_for(path),
-            generation: 0,
             next_id: 1,
-            tail_len: 0,
+            len: 0,
             pending: BTreeMap::new(),
             settled: BTreeMap::new(),
             done: 0,
             failed: 0,
-            settled_in_tail: 0,
+            settled_live: 0,
             clients: BTreeMap::new(),
             warnings: Vec::new(),
         };
-        let snap_generation = match File::open(&journal.snap_path) {
-            Ok(file) => Some(journal.load_snapshot(file)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(source) => {
-                return Err(JournalError::Io {
-                    path: journal.snap_path.clone(),
-                    source,
-                })
-            }
-        };
         match File::open(path) {
-            Ok(file) => journal.replay_tail(file, snap_generation)?,
+            Ok(file) => journal.replay(file)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                journal.generation = snap_generation.unwrap_or(0);
-                journal.next_id = journal.id_after(journal.max_settled_id())?;
-                journal.write_fresh_tail()?;
+                let header = format!("{HEADER} next 1 settled 0\n");
+                std::fs::write(path, &header).map_err(|e| journal.io_err(e))?;
+                journal.len = header.len() as u64;
             }
             Err(source) => {
                 return Err(JournalError::Io {
@@ -455,13 +469,6 @@ impl Journal {
         }
     }
 
-    fn snap_corrupt(&self, detail: String) -> JournalError {
-        JournalError::Corrupt {
-            path: self.snap_path.clone(),
-            detail,
-        }
-    }
-
     fn max_settled_id(&self) -> JobId {
         self.settled.keys().next_back().copied().unwrap_or(0)
     }
@@ -473,191 +480,90 @@ impl Journal {
             .ok_or_else(|| self.corrupt(format!("job id {id} leaves no id to assign next")))
     }
 
-    /// Load the snapshot segment: header plus offset index only — the
-    /// record bodies are never read at open. Snapshots are written
-    /// atomically (rename), so any damage is a hard error, never a
-    /// torn tail.
-    fn load_snapshot(&mut self, file: File) -> Result<u64, JournalError> {
-        let file_len = file
-            .metadata()
-            .map_err(|e| JournalError::Io {
-                path: self.snap_path.clone(),
-                source: e,
-            })?
-            .len();
+    /// Replay the journal: the header and the index of compacted jobs,
+    /// whose records are skipped unread, then the live records through
+    /// a buffered line reader — O(one record) memory — under the
+    /// torn-vs-corrupt policy. The compacted section is only ever
+    /// written whole (rename), so any damage there is a hard error.
+    fn replay(&mut self, file: File) -> Result<(), JournalError> {
+        let file_len = file.metadata().map_err(|e| self.io_err(e))?.len();
         let mut reader = LineReader::new(BufReader::new(file));
-        let mut next = || {
-            reader.next_line().map_err(|e| JournalError::Io {
-                path: self.snap_path.clone(),
-                source: e,
-            })
-        };
-        let (generation, jobs): (u64, usize) = match next()? {
-            Some((_, line, true)) => {
-                let words: Vec<&str> = line.split_ascii_whitespace().collect();
-                match words.as_slice() {
-                    ["vax-queue-snapshot", "v2", "generation", g, "jobs", n] => g
-                        .parse()
-                        .ok()
-                        .zip(n.parse().ok())
-                        .ok_or_else(|| self.snap_corrupt(format!("bad header `{line}`")))?,
-                    _ => {
-                        return Err(self.snap_corrupt(format!(
-                            "missing `{SNAP_HEADER}` header (got `{line}`)"
-                        )))
-                    }
-                }
-            }
-            _ => return Err(self.snap_corrupt(format!("missing `{SNAP_HEADER}` header"))),
-        };
-        match next()? {
-            Some((_, line, true)) if line.trim() == "index" => {}
-            other => {
-                return Err(self.snap_corrupt(format!("missing `index` section (got {other:?})")))
-            }
-        }
-        // The header's count is checked after the index is read, never
-        // trusted as an allocation size.
-        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::new();
-        loop {
-            match next()? {
-                Some((_, line, true)) if line.trim() == "end" => break,
+        let io = |this: &Journal, e| this.io_err(e);
+
+        let (header_next, compacted): (JobId, u64) =
+            match reader.next_line().map_err(|e| io(self, e))? {
                 Some((_, line, true)) => {
                     let words: Vec<&str> = line.split_ascii_whitespace().collect();
-                    let parsed = match words.as_slice() {
-                        ["entry", id, rel, len, kind] => {
-                            let kind = match *kind {
-                                "done" => Some(JobState::Done),
-                                "failed" => Some(JobState::Failed),
-                                _ => None,
-                            };
-                            id.parse().ok().zip(rel.parse().ok()).zip(
-                                len.parse()
-                                    .ok()
-                                    .zip(kind)
-                                    .map(|(l, k): (u64, JobState)| (l, k)),
+                    match words.as_slice() {
+                        ["vax-queue-journal", "v3", "next", n, "settled", s] => n
+                            .parse()
+                            .ok()
+                            .zip(s.parse().ok())
+                            .ok_or_else(|| self.corrupt(format!("bad header `{line}`")))?,
+                        _ => {
+                            return Err(
+                                self.corrupt(format!("missing `{HEADER}` header (got `{line}`)"))
                             )
                         }
-                        _ => None,
-                    };
-                    let Some(((id, rel), (len, kind))) = parsed else {
-                        return Err(self.snap_corrupt(format!("bad index entry `{line}`")));
-                    };
-                    if let Some(&(last, ..)) = entries.last() {
-                        if id <= last {
-                            return Err(
-                                self.snap_corrupt(format!("index not strictly increasing at {id}"))
-                            );
-                        }
                     }
-                    entries.push((id, rel, len, kind));
                 }
-                _ => return Err(self.snap_corrupt("index has no `end` line".to_string())),
-            }
-        }
-        if entries.len() != jobs {
-            return Err(self.snap_corrupt(format!(
-                "header claims {jobs} job(s) but the index holds {}",
-                entries.len()
-            )));
-        }
-        let base = reader.pos;
-        for (id, rel, len, kind) in entries {
-            let at = base.checked_add(rel).filter(|at| {
-                at.checked_add(len)
-                    .is_some_and(|record_end| record_end <= file_len)
-            });
-            let Some(at) = at else {
-                return Err(self.snap_corrupt(format!(
-                    "index entry for job {id} points past the end of the file"
-                )));
+                _ => return Err(self.corrupt(format!("missing `{HEADER}` header"))),
             };
-            match kind {
-                JobState::Done => self.done += 1,
-                JobState::Failed => self.failed += 1,
-                JobState::Pending => unreachable!(),
+
+        // The index. Its count bounds this loop, never an allocation:
+        // a count past the file's lines runs into EOF and is refused.
+        // Offsets are relative to the end of the index until it is read.
+        let mut rel = 0u64;
+        for _ in 0..compacted {
+            let line = match reader.next_line().map_err(|e| io(self, e))? {
+                Some((_, line, true)) => line,
+                _ => {
+                    return Err(
+                        self.corrupt(format!("the index ends before its {compacted} entries"))
+                    )
+                }
+            };
+            let Some((id, enqueue_len, len, kind)) = parse_entry(&line) else {
+                return Err(self.corrupt(format!("bad index entry `{line}`")));
+            };
+            if self
+                .settled
+                .last_key_value()
+                .is_some_and(|(&last, _)| id <= last)
+            {
+                return Err(self.corrupt(format!("index not strictly increasing at job {id}")));
             }
-            self.settled.insert(
+            let Some(end) = rel
+                .checked_add(u64::from(enqueue_len))
+                .and_then(|at| at.checked_add(len))
+            else {
+                return Err(self.corrupt(format!("index lengths overflow at job {id}")));
+            };
+            self.insert_settled(
                 id,
                 SettledRef {
-                    seg: Segment::Snapshot,
-                    spec_at: at,
-                    spec_len: 0,
-                    at,
+                    enqueue_at: rel,
+                    enqueue_len,
+                    at: end - len,
                     len,
                     kind,
                 },
             );
+            rel = end;
         }
-        Ok(generation)
-    }
-
-    /// Replay the tail through a buffered line reader — O(one record)
-    /// memory — applying the v1 torn-vs-corrupt policy and, when the
-    /// tail's generation lags the snapshot's (the mid-compaction crash
-    /// window), skipping records for jobs the snapshot already
-    /// settled.
-    fn replay_tail(
-        &mut self,
-        file: File,
-        snap_generation: Option<u64>,
-    ) -> Result<(), JournalError> {
-        let mut reader = LineReader::new(BufReader::new(file));
-        let io = |this: &Journal, e| this.io_err(e);
-
-        // Header: v2 with generation + next-id.
-        let mut header_next = match reader.next_line().map_err(|e| io(self, e))? {
-            Some((_, line, true)) => {
-                let words: Vec<&str> = line.split_ascii_whitespace().collect();
-                match words.as_slice() {
-                    ["vax-queue-journal", "v2", "generation", g, "next", n] => {
-                        let parsed: Option<(u64, JobId)> = g.parse().ok().zip(n.parse().ok());
-                        let Some((generation, next)) = parsed else {
-                            return Err(self.corrupt(format!("bad header `{line}`")));
-                        };
-                        self.generation = generation;
-                        next
-                    }
-                    _ => {
-                        return Err(
-                            self.corrupt(format!("missing `{HEADER_V2}` header (got `{line}`)"))
-                        )
-                    }
-                }
-            }
-            _ => return Err(self.corrupt(format!("missing `{HEADER_V2}` header"))),
+        let base = reader.pos;
+        let Some(live_at) = base.checked_add(rel).filter(|&end| end <= file_len) else {
+            return Err(self.corrupt(format!(
+                "the index's {compacted} compacted job(s) run past the end of the file"
+            )));
         };
-        if header_next == 0 {
-            header_next = 1;
+        // Every compacted span ends at or before `live_at`, so the
+        // rebasing cannot overflow.
+        for r in self.settled.values_mut() {
+            r.enqueue_at += base;
+            r.at += base;
         }
-
-        // Reconcile the tail against the snapshot. A lagging tail is
-        // the expected state after a kill between the two compaction
-        // renames: its records for snapshot-settled jobs are replayed
-        // as no-ops.
-        let stale_tail = match snap_generation {
-            Some(snap_gen) => {
-                if self.generation > snap_gen {
-                    return Err(self.corrupt(format!(
-                        "tail generation {} is newer than snapshot generation {snap_gen}",
-                        self.generation
-                    )));
-                }
-                let stale = self.generation < snap_gen;
-                self.generation = snap_gen;
-                stale
-            }
-            None => {
-                if self.generation > 0 {
-                    return Err(self.corrupt(format!(
-                        "tail generation {} but the snapshot segment {} is missing",
-                        self.generation,
-                        self.snap_path.display()
-                    )));
-                }
-                false
-            }
-        };
+        reader.seek(live_at).map_err(|e| io(self, e))?;
 
         // Torn-vs-corrupt: appends are sequential, so a torn
         // write leaves a prefix of ONE record. If any fully terminated
@@ -719,13 +625,6 @@ impl Journal {
                         Err(e) => fail!(false, format!("enqueue {id}: {e}")),
                     };
                     let after = self.id_after(id)?;
-                    if stale_tail && self.settled.contains_key(&id) {
-                        // Pre-compaction tail: the snapshot already
-                        // holds this job in settled form.
-                        good = reader.pos;
-                        self.next_id = self.next_id.max(after);
-                        continue;
-                    }
                     if self.pending.contains_key(&id) || self.settled.contains_key(&id) {
                         return Err(self.corrupt(format!("duplicate enqueue for job {id}")));
                     }
@@ -751,10 +650,6 @@ impl Journal {
                     let Some(attempt) = attempt else {
                         fail!(false, format!("bad start record `{trimmed}`"));
                     };
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
-                    }
                     if self.settled.contains_key(&id) {
                         return Err(self.corrupt(format!("start for settled job {id}")));
                     }
@@ -771,11 +666,7 @@ impl Journal {
                     if parsed.is_none() {
                         fail!(false, format!("bad fail record `{trimmed}`"));
                     }
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
-                    }
-                    self.settle_from_tail(
+                    self.settle_replayed(
                         id,
                         record_start,
                         reader.pos - record_start,
@@ -816,11 +707,7 @@ impl Journal {
                     // validate, then discard — only offsets are kept.
                     codec::from_text_with_counters(&body)
                         .map_err(|e| self.corrupt(format!("complete {id}: {e}")))?;
-                    if stale_tail && self.settled.contains_key(&id) {
-                        good = reader.pos;
-                        continue;
-                    }
-                    self.settle_from_tail(
+                    self.settle_replayed(
                         id,
                         record_start,
                         reader.pos - record_start,
@@ -838,7 +725,7 @@ impl Journal {
             .max(header_next)
             .max(self.id_after(self.max_settled_id())?);
         let end = reader.pos;
-        self.tail_len = good;
+        self.len = good;
         if let Some((at, detail)) = torn {
             self.warnings.push(format!(
                 "dropped torn trailing record ({} byte(s) after the last complete \
@@ -854,39 +741,55 @@ impl Journal {
         Ok(())
     }
 
-    /// Move a pending job to the settled offset table during replay.
-    fn settle_from_tail(
+    /// Count a settled job and add it to the settled table.
+    fn insert_settled(&mut self, id: JobId, r: SettledRef) {
+        match r.kind {
+            JobState::Done => self.done += 1,
+            JobState::Failed => self.failed += 1,
+            JobState::Pending => unreachable!("a settled job is done or failed"),
+        }
+        self.settled.insert(id, r);
+    }
+
+    /// Move a pending job to the settled table, its settle record the
+    /// `len` bytes at `at`; `false` if `id` is not pending.
+    fn settle_pending(&mut self, id: JobId, at: u64, len: u64, kind: JobState) -> bool {
+        let Some(job) = self.pending.remove(&id) else {
+            return false;
+        };
+        self.client_settled(&job.client);
+        self.settled_live += 1;
+        self.insert_settled(
+            id,
+            SettledRef {
+                enqueue_at: job.enqueue_at,
+                enqueue_len: job.enqueue_len,
+                at,
+                len,
+                kind,
+            },
+        );
+        true
+    }
+
+    /// [`Journal::settle_pending`] for a replayed settle record, which
+    /// must name a pending job.
+    fn settle_replayed(
         &mut self,
         id: JobId,
         at: u64,
         len: u64,
         kind: JobState,
     ) -> Result<(), JournalError> {
-        if self.settled.contains_key(&id) {
-            return Err(self.corrupt(format!("{} for settled job {id}", kind.name())));
+        if self.settle_pending(id, at, len, kind) {
+            return Ok(());
         }
-        let Some(job) = self.pending.remove(&id) else {
-            return Err(self.corrupt(format!("{} for unknown job {id}", kind.name())));
+        let whose = if self.settled.contains_key(&id) {
+            "settled"
+        } else {
+            "unknown"
         };
-        self.client_settled(&job.client);
-        match kind {
-            JobState::Done => self.done += 1,
-            JobState::Failed => self.failed += 1,
-            JobState::Pending => unreachable!(),
-        }
-        self.settled_in_tail += 1;
-        self.settled.insert(
-            id,
-            SettledRef {
-                seg: Segment::Tail,
-                spec_at: job.enqueue_at,
-                spec_len: job.enqueue_len,
-                at,
-                len,
-                kind,
-            },
-        );
-        Ok(())
+        Err(self.corrupt(format!("{} for {whose} job {id}", kind.name())))
     }
 
     fn client_settled(&mut self, client: &str) {
@@ -898,44 +801,20 @@ impl Journal {
         }
     }
 
-    fn tail_header(&self) -> String {
-        format!(
-            "{HEADER_V2} generation {} next {}\n",
-            self.generation, self.next_id
-        )
-    }
-
-    fn write_fresh_tail(&mut self) -> Result<(), JournalError> {
-        let header = self.tail_header();
-        std::fs::write(&self.path, &header).map_err(|e| self.io_err(e))?;
-        self.tail_len = header.len() as u64;
-        Ok(())
-    }
-
     /// Warnings produced while opening (a torn trailing record dropped).
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
 
-    /// The journal's tail path.
+    /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// The snapshot segment's path.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snap_path
-    }
-
-    /// The compaction generation (0 until the first compaction).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Settled jobs whose records still live in the tail — the work a
-    /// compaction would migrate.
+    /// Settled jobs among the live records — the work a compaction
+    /// would fold into the compacted section.
     pub fn settled_in_tail(&self) -> usize {
-        self.settled_in_tail
+        self.settled_live
     }
 
     /// The highest job id ever assigned (0 if none).
@@ -1010,7 +889,7 @@ impl Journal {
         file.write_all(record.as_bytes())
             .map_err(|e| self.io_err(e))?;
         file.flush().map_err(|e| self.io_err(e))?;
-        self.tail_len += record.len() as u64;
+        self.len += record.len() as u64;
         Ok(())
     }
 
@@ -1041,12 +920,8 @@ impl Journal {
         }
         let id = self.next_id;
         let next_id = self.id_after(id)?;
-        let record = if client.is_empty() {
-            format!("enqueue {id} {}\n", spec.render())
-        } else {
-            format!("enqueue {id} client={client} {}\n", spec.render())
-        };
-        let enqueue_at = self.tail_len;
+        let record = enqueue_record(id, client, spec);
+        let enqueue_at = self.len;
         self.append(&record)?;
         self.next_id = next_id;
         *self.clients.entry(client.to_string()).or_insert(0) += 1;
@@ -1095,9 +970,9 @@ impl Journal {
             &result.counters.to_pairs(),
         ));
         section.push_str("end\n");
-        let at = self.tail_len;
+        let at = self.len;
         self.append(&section)?;
-        self.settle_append(id, at, section.len() as u64, JobState::Done);
+        self.settle_pending(id, at, section.len() as u64, JobState::Done);
         Ok(())
     }
 
@@ -1116,201 +991,88 @@ impl Journal {
             "fail {id} attempts {attempts} message {}\n",
             escape_message(message)
         );
-        let at = self.tail_len;
+        let at = self.len;
         self.append(&record)?;
-        self.settle_append(id, at, record.len() as u64, JobState::Failed);
+        self.settle_pending(id, at, record.len() as u64, JobState::Failed);
         Ok(())
     }
 
-    fn settle_append(&mut self, id: JobId, at: u64, len: u64, kind: JobState) {
-        let Some(job) = self.pending.remove(&id) else {
-            return;
-        };
-        self.client_settled(&job.client);
-        match kind {
-            JobState::Done => self.done += 1,
-            JobState::Failed => self.failed += 1,
-            JobState::Pending => unreachable!(),
-        }
-        self.settled_in_tail += 1;
-        self.settled.insert(
-            id,
-            SettledRef {
-                seg: Segment::Tail,
-                spec_at: job.enqueue_at,
-                spec_len: job.enqueue_len,
-                at,
-                len,
-                kind,
-            },
-        );
-    }
-
-    /// Migrate every settled job into a fresh snapshot segment and
-    /// rewrite the tail with only the unsettled records, bumping the
-    /// generation. Crash-safe: both replacement files are fully
-    /// written and synced before the snapshot, then the tail, are
-    /// renamed into place — a kill at any byte offset replays to the
-    /// identical queue state.
+    /// Rewrite the journal with every settled job in the compacted
+    /// section and only the unsettled jobs' records after it: their
+    /// `enqueue` record and, if an attempt began, one `start` record
+    /// with the highest attempt seen. The new journal is written and
+    /// synced to `<path>.tmp`, then renamed over the journal, so a kill
+    /// at any byte offset replays to the identical queue state.
     ///
     /// # Errors
     ///
-    /// [`JournalError`] on I/O failure or an unreadable settled record.
+    /// [`JournalError`] on I/O failure; the journal is then unchanged.
     pub fn compact(&mut self) -> Result<(), JournalError> {
-        let new_generation = self.generation.checked_add(1).ok_or_else(|| {
-            self.corrupt(format!("generation {} cannot advance", self.generation))
-        })?;
-        let snap_tmp = {
-            let mut os = self.snap_path.as_os_str().to_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        let tail_tmp = {
+        let tmp = {
             let mut os = self.path.as_os_str().to_os_string();
             os.push(".tmp");
             PathBuf::from(os)
         };
-        let records_tmp = {
-            let mut os = self.snap_path.as_os_str().to_os_string();
-            os.push(".records.tmp");
-            PathBuf::from(os)
-        };
-        let snap_io = |e| JournalError::Io {
-            path: self.snap_path.clone(),
-            source: e,
-        };
-
-        // 1. Stream every settled record into the records scratch
-        // file, collecting the offset index. Records already in the
-        // snapshot copy verbatim; tail records are re-keyed to the
-        // snapshot's `job` form.
-        let mut entries: Vec<(JobId, u64, u64, JobState)> = Vec::with_capacity(self.settled.len());
-        let mut records = BufWriter::new(File::create(&records_tmp).map_err(snap_io)?);
-        let mut snap_read: Option<File> = None;
-        let mut tail_read: Option<File> = None;
-        let mut rel = 0u64;
+        let io = |e| self.io_err(e);
+        let mut out = BufWriter::new(File::create(&tmp).map_err(io)?);
+        let header = format!(
+            "{HEADER} next {} settled {}\n",
+            self.next_id,
+            self.settled.len()
+        );
+        out.write_all(header.as_bytes()).map_err(io)?;
+        let mut base = header.len() as u64;
         for (&id, r) in &self.settled {
-            let bytes = match r.seg {
-                Segment::Snapshot => {
-                    let file = match &mut snap_read {
-                        Some(f) => f,
-                        None => {
-                            snap_read = Some(File::open(&self.snap_path).map_err(snap_io)?);
-                            snap_read.as_mut().unwrap()
-                        }
-                    };
-                    read_span(file, r.at, r.len).map_err(snap_io)?
-                }
-                Segment::Tail => {
-                    let file = match &mut tail_read {
-                        Some(f) => f,
-                        None => {
-                            tail_read = Some(File::open(&self.path).map_err(|e| self.io_err(e))?);
-                            tail_read.as_mut().unwrap()
-                        }
-                    };
-                    let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
-                        .map_err(|e| self.io_err(e))?;
-                    let spec_line = self.spec_from_enqueue(&enqueue, id)?;
-                    let settle = read_span(file, r.at, r.len).map_err(|e| self.io_err(e))?;
-                    let mut record = format!("job {id} {spec_line}\n").into_bytes();
-                    record.extend_from_slice(&settle);
-                    record
-                }
-            };
-            let len = bytes.len() as u64;
-            records.write_all(&bytes).map_err(snap_io)?;
-            entries.push((id, rel, len, r.kind));
-            rel += len;
+            let line = format!("entry {id} {} {} {}\n", r.enqueue_len, r.len, r.kind.name());
+            out.write_all(line.as_bytes()).map_err(io)?;
+            base += line.len() as u64;
         }
-        records.flush().map_err(snap_io)?;
-        drop(records);
-
-        // 2. Assemble the snapshot: header, index, then the records
-        // streamed in after it. Synced before rename.
-        let mut base = 0u64;
-        {
-            let mut snap = BufWriter::new(File::create(&snap_tmp).map_err(snap_io)?);
-            let header = format!(
-                "{SNAP_HEADER} generation {new_generation} jobs {}\nindex\n",
-                entries.len()
-            );
-            snap.write_all(header.as_bytes()).map_err(snap_io)?;
-            base += header.len() as u64;
-            for &(id, rel, len, kind) in &entries {
-                let line = format!("entry {id} {rel} {len} {}\n", kind.name());
-                snap.write_all(line.as_bytes()).map_err(snap_io)?;
-                base += line.len() as u64;
-            }
-            snap.write_all(b"end\n").map_err(snap_io)?;
-            base += 4;
-            let mut records = File::open(&records_tmp).map_err(snap_io)?;
-            std::io::copy(&mut records, &mut snap).map_err(snap_io)?;
-            let snap = snap.into_inner().map_err(|e| snap_io(e.into_error()))?;
-            snap.sync_all().map_err(snap_io)?;
+        let mut end = base;
+        let mut source = None;
+        for r in self.settled.values() {
+            let file = self.reader(&mut source)?;
+            copy_span(file, r.enqueue_at, u64::from(r.enqueue_len), &mut out).map_err(io)?;
+            copy_span(file, r.at, r.len, &mut out).map_err(io)?;
+            end += u64::from(r.enqueue_len) + r.len;
         }
-
-        // 3. The replacement tail: header with the preserved next-id,
-        // then the unsettled records (enqueue + highest start seen).
-        let mut pending_offsets: BTreeMap<JobId, (u64, u32)> = BTreeMap::new();
-        let mut new_tail_len;
-        {
-            let mut tail = BufWriter::new(File::create(&tail_tmp).map_err(|e| self.io_err(e))?);
-            let header = format!(
-                "{HEADER_V2} generation {new_generation} next {}\n",
-                self.next_id
-            );
-            tail.write_all(header.as_bytes())
-                .map_err(|e| self.io_err(e))?;
-            new_tail_len = header.len() as u64;
-            for (&id, job) in &self.pending {
-                let record = if job.client.is_empty() {
-                    format!("enqueue {id} {}\n", job.spec.render())
-                } else {
-                    format!("enqueue {id} client={} {}\n", job.client, job.spec.render())
-                };
-                tail.write_all(record.as_bytes())
-                    .map_err(|e| self.io_err(e))?;
-                pending_offsets.insert(id, (new_tail_len, record.len() as u32));
-                new_tail_len += record.len() as u64;
-                if job.starts > 0 {
-                    let start = format!("start {id} attempt {}\n", job.starts);
-                    tail.write_all(start.as_bytes())
-                        .map_err(|e| self.io_err(e))?;
-                    new_tail_len += start.len() as u64;
-                }
-            }
-            let tail = tail.into_inner().map_err(|e| self.io_err(e.into_error()))?;
-            tail.sync_all().map_err(|e| self.io_err(e))?;
-        }
-
-        // 4. Publish: snapshot first, then tail. A kill between the
-        // renames leaves the new snapshot with the old tail, which
-        // replay reconciles by generation.
-        std::fs::rename(&snap_tmp, &self.snap_path).map_err(snap_io)?;
-        std::fs::rename(&tail_tmp, &self.path).map_err(|e| self.io_err(e))?;
-        let _ = std::fs::remove_file(&records_tmp);
-
-        // 5. Swing the in-memory offset table to the new files.
-        self.generation = new_generation;
-        self.tail_len = new_tail_len;
-        self.settled_in_tail = 0;
-        for (id, rel, len, _) in entries {
-            if let Some(r) = self.settled.get_mut(&id) {
-                r.seg = Segment::Snapshot;
-                r.at = base + rel;
-                r.spec_at = base + rel;
-                r.spec_len = 0;
-                r.len = len;
+        let mut enqueued = Vec::with_capacity(self.pending.len());
+        for (&id, job) in &self.pending {
+            let record = enqueue_record(id, &job.client, &job.spec);
+            out.write_all(record.as_bytes()).map_err(io)?;
+            enqueued.push((end, record.len() as u32));
+            end += record.len() as u64;
+            if job.starts > 0 {
+                let start = format!("start {id} attempt {}\n", job.starts);
+                out.write_all(start.as_bytes()).map_err(io)?;
+                end += start.len() as u64;
             }
         }
-        for (id, (at, len)) in pending_offsets {
-            if let Some(job) = self.pending.get_mut(&id) {
-                job.enqueue_at = at;
-                job.enqueue_len = len;
-            }
+        let out = out.into_inner().map_err(|e| io(e.into_error()))?;
+        out.sync_all().map_err(io)?;
+        std::fs::rename(&tmp, &self.path).map_err(io)?;
+
+        // The new file holds the same records, laid out afresh.
+        self.len = end;
+        self.settled_live = 0;
+        let mut at = base;
+        for r in self.settled.values_mut() {
+            r.enqueue_at = at;
+            r.at = at + u64::from(r.enqueue_len);
+            at = r.at + r.len;
+        }
+        for (job, (at, len)) in self.pending.values_mut().zip(enqueued) {
+            job.enqueue_at = at;
+            job.enqueue_len = len;
         }
         Ok(())
+    }
+
+    /// The journal's read handle for one pass, opened on first use.
+    fn reader<'f>(&self, file: &'f mut Option<File>) -> Result<&'f mut File, JournalError> {
+        if file.is_none() {
+            *file = Some(File::open(&self.path).map_err(|e| self.io_err(e))?);
+        }
+        Ok(file.as_mut().expect("opened above"))
     }
 
     /// Extract the canonical spec line from a raw `enqueue` record.
@@ -1329,9 +1091,8 @@ impl Journal {
     }
 
     /// Every job in id order as `(id, state, canonical spec line)` —
-    /// what `status` lists. A settled job's spec is read back alone,
-    /// without its settle record, and the whole pass shares one set of
-    /// segment handles.
+    /// what `status` lists. A settled job's spec is read back from its
+    /// `enqueue` record alone, and the whole pass shares one handle.
     ///
     /// # Errors
     ///
@@ -1340,95 +1101,38 @@ impl Journal {
     pub fn job_specs(
         &self,
     ) -> impl Iterator<Item = Result<(JobId, JobState, String), JournalError>> + '_ {
-        let mut files = SegmentFiles::default();
+        let mut file = None;
         self.states().map(move |(id, state)| {
             let spec = match (self.pending.get(&id), self.settled.get(&id)) {
                 (Some(job), _) => job.spec.render(),
-                (None, Some(r)) => self.read_settled_spec(&mut files, id, *r)?,
+                (None, Some(r)) => {
+                    let file = self.reader(&mut file)?;
+                    let enqueue = read_span(file, r.enqueue_at, u64::from(r.enqueue_len))
+                        .map_err(|e| self.io_err(e))?;
+                    self.spec_from_enqueue(&enqueue, id)?
+                }
                 (None, None) => unreachable!("states() lists only known jobs"),
             };
             Ok((id, state, spec))
         })
     }
 
-    /// Read a settled job's spec line back from disk: the head line of
-    /// its snapshot record, or its `enqueue` record in the tail.
-    fn read_settled_spec(
+    /// Read a settled job's two records back from disk through the
+    /// pass's handle: `(spec line, raw settle record)`.
+    fn read_settled(
         &self,
-        files: &mut SegmentFiles,
-        id: JobId,
-        r: SettledRef,
-    ) -> Result<String, JournalError> {
-        match r.seg {
-            Segment::Snapshot => {
-                let file = files.snapshot(&self.snap_path)?;
-                let head = read_head(file, r.at, r.len).map_err(|e| JournalError::Io {
-                    path: self.snap_path.clone(),
-                    source: e,
-                })?;
-                let head = String::from_utf8(head)
-                    .map_err(|_| self.snap_corrupt(format!("record for job {id} is not UTF-8")))?;
-                let head = head
-                    .strip_suffix('\n')
-                    .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
-                self.snapshot_spec(id, head)
-            }
-            Segment::Tail => {
-                let file = files.tail(&self.path)?;
-                let enqueue = read_span(file, r.spec_at, u64::from(r.spec_len))
-                    .map_err(|e| self.io_err(e))?;
-                self.spec_from_enqueue(&enqueue, id)
-            }
-        }
-    }
-
-    /// The spec carried by a snapshot record's `job <id> <spec>` head.
-    fn snapshot_spec(&self, id: JobId, head: &str) -> Result<String, JournalError> {
-        head.strip_prefix(&format!("job {id} "))
-            .map(str::to_string)
-            .ok_or_else(|| self.snap_corrupt(format!("bad record head for job {id}: `{head}`")))
-    }
-
-    /// Read a settled record back from disk: `(spec line, raw settle
-    /// record)`.
-    fn read_settled(&self, id: JobId, r: SettledRef) -> Result<(String, String), JournalError> {
-        let mut files = SegmentFiles::default();
-        self.read_settled_with(&mut files, id, r)
-    }
-
-    fn read_settled_with(
-        &self,
-        files: &mut SegmentFiles,
+        file: &mut Option<File>,
         id: JobId,
         r: SettledRef,
     ) -> Result<(String, String), JournalError> {
-        match r.seg {
-            Segment::Snapshot => {
-                let file = files.snapshot(&self.snap_path)?;
-                let bytes = read_span(file, r.at, r.len).map_err(|e| JournalError::Io {
-                    path: self.snap_path.clone(),
-                    source: e,
-                })?;
-                let mut text = String::from_utf8(bytes)
-                    .map_err(|_| self.snap_corrupt(format!("record for job {id} is not UTF-8")))?;
-                let newline = text
-                    .find('\n')
-                    .ok_or_else(|| self.snap_corrupt(format!("truncated record for job {id}")))?;
-                let spec = self.snapshot_spec(id, &text[..newline])?;
-                // What remains is the settle record, in place.
-                text.replace_range(..=newline, "");
-                Ok((spec, text))
-            }
-            Segment::Tail => {
-                let spec = self.read_settled_spec(files, id, r)?;
-                let file = files.tail(&self.path)?;
-                let bytes = read_span(file, r.at, r.len).map_err(|e| self.io_err(e))?;
-                let text = String::from_utf8(bytes).map_err(|_| {
-                    self.corrupt(format!("settle record for job {id} is not UTF-8"))
-                })?;
-                Ok((spec, text))
-            }
-        }
+        let file = self.reader(file)?;
+        let mut bytes = read_records(file, &r).map_err(|e| self.io_err(e))?;
+        let head = r.enqueue_len as usize;
+        let spec = self.spec_from_enqueue(&bytes[..head], id)?;
+        bytes.drain(..head);
+        let settle = String::from_utf8(bytes)
+            .map_err(|_| self.corrupt(format!("settle record for job {id} is not UTF-8")))?;
+        Ok((spec, settle))
     }
 
     /// Split a raw `complete` section into `(instructions, cycles, codec
@@ -1504,7 +1208,7 @@ impl Journal {
         let Some(r) = self.settled.get(&id).filter(|r| r.kind == JobState::Done) else {
             return Ok(None);
         };
-        let (spec_line, settle) = self.read_settled(id, *r)?;
+        let (spec_line, settle) = self.read_settled(&mut None, id, *r)?;
         let spec = JobSpec::parse(&spec_line)
             .map_err(|e| self.corrupt(format!("spec for job {id}: {e}")))?;
         let Some((instructions, cycles, body)) = self.complete_parts(id, &settle)? else {
@@ -1536,7 +1240,7 @@ impl Journal {
         let Some(r) = self.settled.get(&id) else {
             return Ok(None);
         };
-        let (spec_line, settle) = self.read_settled(id, *r)?;
+        let (spec_line, settle) = self.read_settled(&mut None, id, *r)?;
         let outcome = self.parse_settle(id, &settle)?;
         Ok(Some(self.render_result(id, &spec_line, outcome)?))
     }
@@ -1580,46 +1284,16 @@ impl Journal {
     /// [`JournalError`] on a read failure, or an `Io` wrapping the
     /// write error if `out` fails.
     pub fn stream_results(&self, out: &mut dyn Write) -> Result<usize, JournalError> {
-        let mut files = SegmentFiles::default();
+        let mut file = None;
         let mut lines = 0usize;
         for (&id, r) in &self.settled {
-            let (spec_line, settle) = self.read_settled_with(&mut files, id, *r)?;
+            let (spec_line, settle) = self.read_settled(&mut file, id, *r)?;
             let outcome = self.parse_settle(id, &settle)?;
             let line = self.render_result(id, &spec_line, outcome)?;
             writeln!(out, "{line}").map_err(|e| self.io_err(e))?;
             lines += 1;
         }
         Ok(lines)
-    }
-}
-
-/// Lazily opened read handles, one per segment, shared across a
-/// streaming pass.
-#[derive(Default)]
-struct SegmentFiles {
-    snapshot: Option<File>,
-    tail: Option<File>,
-}
-
-impl SegmentFiles {
-    fn snapshot(&mut self, path: &Path) -> Result<&mut File, JournalError> {
-        if self.snapshot.is_none() {
-            self.snapshot = Some(File::open(path).map_err(|source| JournalError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?);
-        }
-        Ok(self.snapshot.as_mut().unwrap())
-    }
-
-    fn tail(&mut self, path: &Path) -> Result<&mut File, JournalError> {
-        if self.tail.is_none() {
-            self.tail = Some(File::open(path).map_err(|source| JournalError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?);
-        }
-        Ok(self.tail.as_mut().unwrap())
     }
 }
 
@@ -1733,48 +1407,95 @@ mod tests {
         assert_eq!(j.counts(), (0, 1, 0));
     }
 
+    /// The live section starts where the compacted records end, so a
+    /// torn append after a compaction must be found and cut at its
+    /// absolute offset, leaving the compacted jobs' results as they were.
+    #[test]
+    fn torn_append_after_a_compacted_section_is_dropped_at_every_byte_offset() {
+        let dir = tempdir("vax-journal-torn-compacted");
+        let path = dir.join("queue.journal");
+        let mut j = Journal::open(&path).unwrap();
+        let spec = JobSpec::new(WorkloadKind::Commercial);
+        for _ in 0..3 {
+            j.append_enqueue_for("alice", &spec).unwrap();
+        }
+        j.append_start(1, 1).unwrap();
+        j.append_complete(1, &sample(WorkloadKind::Commercial))
+            .unwrap();
+        j.append_start(2, 1).unwrap();
+        j.append_fail(2, 1, "boom").unwrap();
+        j.compact().unwrap();
+        let compacted = all_results(&j);
+        j.append_start(3, 1).unwrap();
+        let good_text = std::fs::read_to_string(&path).unwrap();
+        let good_len = good_text.len();
+        j.append_complete(3, &sample(WorkloadKind::Commercial))
+            .unwrap();
+        let full_text = std::fs::read_to_string(&path).unwrap();
+
+        for cut in good_len..full_text.len() {
+            std::fs::write(&path, &full_text[..cut]).unwrap();
+            let j = Journal::open(&path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(j.pending(), vec![3], "cut at {cut}");
+            assert_eq!(j.counts(), (1, 1, 1), "cut at {cut}");
+            if cut == good_len {
+                assert!(j.warnings().is_empty(), "clean cut at {cut}");
+            } else {
+                assert_eq!(j.warnings().len(), 1, "cut at {cut}");
+                assert_eq!(std::fs::read_to_string(&path).unwrap(), good_text);
+            }
+            assert_eq!(all_results(&j), compacted, "cut at {cut}");
+        }
+        std::fs::write(&path, &full_text).unwrap();
+        let j = Journal::open(&path).unwrap();
+        assert!(j.warnings().is_empty());
+        assert_eq!(j.counts(), (0, 2, 1));
+        assert!(all_results(&j).starts_with(&compacted));
+    }
+
     #[test]
     fn mid_file_corruption_is_a_hard_error() {
         let dir = tempdir("vax-journal-corrupt");
         let path = dir.join("queue.journal");
+        let enqueue = "enqueue 1 workload=sci-eng instructions=10 warmup=1\n";
+        let fail = "fail 1 attempts 1 message x\n";
+        let compacted = format!(
+            "vax-queue-journal v3 next 2 settled 1\nentry 1 {} {} failed\n{enqueue}{fail}",
+            enqueue.len(),
+            fail.len()
+        );
         for bad in [
-            "nope\n",
-            "vax-queue-journal v2 generation 0 next 1\nstart 7 attempt 1\n",
-            "vax-queue-journal v2 generation 0 next 1\n\
-             complete 7 instructions 1 cycles 2\nupc-histogram v1\nend\n",
-            "vax-queue-journal v2 generation 0 next 1\n\
-             enqueue 1 workload=sci-eng instructions=10 warmup=1\n\
-             enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
-            "vax-queue-journal v2 generation 0 next 1\ngarbage\n\
-             enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
-            // A generation with no snapshot segment to back it.
-            "vax-queue-journal v2 generation 3 next 1\n",
+            "nope\n".to_string(),
+            "vax-queue-journal v3 next 1 settled 0\nstart 7 attempt 1\n".to_string(),
+            "vax-queue-journal v3 next 1 settled 0\n\
+             complete 7 instructions 1 cycles 2\nupc-histogram v1\nend\n"
+                .to_string(),
+            format!("vax-queue-journal v3 next 1 settled 0\n{enqueue}{enqueue}"),
+            format!("vax-queue-journal v3 next 1 settled 0\ngarbage\n{enqueue}"),
+            // The compacted section is only ever written whole, so a
+            // short index is damage, never a torn append.
+            "vax-queue-journal v3 next 1 settled 1\n".to_string(),
+            "vax-queue-journal v3 next 1 settled 1\nentry 1 10\n".to_string(),
+            // Live records for a compacted job.
+            format!("{compacted}start 1 attempt 2\n"),
+            format!("{compacted}{enqueue}"),
         ] {
-            std::fs::write(&path, bad).unwrap();
-            let _ = std::fs::remove_file(snap_path_for(&path));
+            std::fs::write(&path, &bad).unwrap();
             let err = Journal::open(&path).unwrap_err();
             assert!(
                 matches!(err, JournalError::Corrupt { .. }),
                 "{bad:?}: {err}"
             );
+            // Refusing leaves the file as it was.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), bad);
         }
         // A terminated complete section with a bad codec body is real
-        // corruption even at the tail.
+        // corruption even at the end of the file.
         std::fs::write(
             &path,
-            "vax-queue-journal v2 generation 0 next 1\n\
+            "vax-queue-journal v3 next 1 settled 0\n\
              enqueue 1 workload=sci-eng instructions=10 warmup=1\n\
              complete 1 instructions 1 cycles 2\nnot a histogram\nend\n",
-        )
-        .unwrap();
-        let err = Journal::open(&path).unwrap_err();
-        assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
-        // A damaged snapshot is always a hard error: snapshots are
-        // written atomically, so torn-tail forgiveness never applies.
-        std::fs::write(&path, "vax-queue-journal v2 generation 1 next 1\n").unwrap();
-        std::fs::write(
-            snap_path_for(&path),
-            "vax-queue-snapshot v2 generation 1 jobs 1\n",
         )
         .unwrap();
         let err = Journal::open(&path).unwrap_err();
@@ -1799,16 +1520,46 @@ mod tests {
         assert!(a.contains("\"digest\":\""), "{a}");
     }
 
+    /// A compacted journal at `path` split into `(header and index,
+    /// compacted records, live records)`, located the way `open` locates
+    /// them: by the header's count and the running sum of the lengths.
+    fn sections(path: &Path) -> (String, String, String) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let header = text.lines().next().unwrap();
+        let count: usize = header.rsplit(' ').next().unwrap().parse().unwrap();
+        let index: usize = text
+            .split_inclusive('\n')
+            .take(count + 1)
+            .map(str::len)
+            .sum();
+        let compacted: usize = text
+            .lines()
+            .skip(1)
+            .take(count)
+            .map(|entry| {
+                let words: Vec<&str> = entry.split(' ').collect();
+                words[2].parse::<usize>().unwrap() + words[3].parse::<usize>().unwrap()
+            })
+            .sum();
+        (
+            text[..index].to_string(),
+            text[index..index + compacted].to_string(),
+            text[index + compacted..].to_string(),
+        )
+    }
+
     #[test]
     fn compaction_migrates_settled_jobs_and_preserves_results() {
         let dir = tempdir("vax-journal-compact");
         let path = dir.join("queue.journal");
         let mut j = Journal::open(&path).unwrap();
         let mut spec = JobSpec::new(WorkloadKind::SciEng);
+        let mut specs = Vec::new();
         for seed in 1..=5 {
             spec.seed = Some(seed);
             j.append_enqueue_for(if seed % 2 == 0 { "even" } else { "" }, &spec)
                 .unwrap();
+            specs.push(spec.render());
         }
         // Settle 1..=3; 4 pending with a start; 5 untouched.
         for id in 1..=3u64 {
@@ -1819,15 +1570,24 @@ mod tests {
         j.append_complete(3, &sample(WorkloadKind::SciEng)).unwrap();
         j.append_start(4, 1).unwrap();
         let before = all_results(&j);
-        let tail_before = std::fs::metadata(&path).unwrap().len();
         assert_eq!(j.settled_in_tail(), 3);
 
         j.compact().unwrap();
-        assert_eq!(j.generation(), 1);
         assert_eq!(j.settled_in_tail(), 0);
-        // The tail shed the settled history.
-        let tail_after = std::fs::metadata(&path).unwrap().len();
-        assert!(tail_after < tail_before, "{tail_after} !< {tail_before}");
+        // After the compacted section come only the pending jobs'
+        // `enqueue`/`start` records.
+        let (index, _, live) = sections(&path);
+        assert!(
+            index.starts_with("vax-queue-journal v3 next 6 settled 3\n"),
+            "{index}"
+        );
+        assert_eq!(
+            live,
+            format!(
+                "enqueue 4 client=even {}\nstart 4 attempt 1\nenqueue 5 {}\n",
+                specs[3], specs[4]
+            )
+        );
         // Results identical through the live journal and a reopen.
         assert_eq!(all_results(&j), before);
         let back = Journal::open(&path).unwrap();
@@ -1836,23 +1596,24 @@ mod tests {
         assert_eq!(back.unsettled_for("even"), 1);
         let (_, starts) = back.pending_job(4).unwrap();
         assert_eq!(starts, 1, "start count must survive compaction");
-        // A second compaction (snapshot -> snapshot copy) still holds.
+        // A second compaction copies the compacted jobs over again.
         let mut back = back;
         back.append_start(4, 2).unwrap();
         back.append_complete(4, &sample(WorkloadKind::SciEng))
             .unwrap();
         back.compact().unwrap();
-        assert_eq!(back.generation(), 2);
         let reread = Journal::open(&path).unwrap();
         assert_eq!(reread.counts(), (1, 3, 1));
         assert!(all_results(&reread).starts_with(&before[..before.len() - 1]));
+        assert_eq!(sections(&path).2, format!("enqueue 5 {}\n", specs[4]));
     }
 
-    /// `job_specs` reads each settled spec alone through one set of
-    /// handles; it must list exactly the specs the whole-record path
-    /// reads back, for jobs in the snapshot, in the tail, and pending.
+    /// `job_specs` reads each settled spec alone through one handle; it
+    /// must list exactly the specs the whole-record path reads back, for
+    /// compacted jobs (their two records adjacent), jobs settled among
+    /// the live records (their two records apart), and pending jobs.
     #[test]
-    fn job_specs_match_the_whole_record_path_across_segments() {
+    fn job_specs_match_the_whole_record_path_compacted_and_live() {
         let dir = tempdir("vax-journal-job-specs");
         let path = dir.join("queue.journal");
         let mut j = Journal::open(&path).unwrap();
@@ -1874,8 +1635,8 @@ mod tests {
                     .unwrap();
             }
         };
-        // Jobs 1-4 settle into the snapshot, 5-7 settle in the tail,
-        // and 8-9 stay pending.
+        // Jobs 1-4 settle into the compacted section, 5-7 settle among
+        // the live records, and 8-9 stay pending.
         for id in 1..=4 {
             settle(&mut j, id);
         }
@@ -1890,13 +1651,10 @@ mod tests {
                 assert_eq!(Some(state), journal.state(id));
                 assert_eq!(spec, specs[id as usize - 1].render(), "job {id}");
                 if let Some(r) = journal.settled.get(&id) {
-                    let segment = if id <= 4 {
-                        Segment::Snapshot
-                    } else {
-                        Segment::Tail
-                    };
-                    assert_eq!(r.seg, segment, "job {id}");
-                    assert_eq!(spec, journal.read_settled(id, *r).unwrap().0, "job {id}");
+                    let adjacent = r.enqueue_at + u64::from(r.enqueue_len) == r.at;
+                    assert_eq!(adjacent, id <= 4, "job {id}");
+                    let (read, _) = journal.read_settled(&mut None, id, *r).unwrap();
+                    assert_eq!(spec, read, "job {id}");
                 }
             }
         }
@@ -1914,9 +1672,8 @@ mod tests {
             j.append_fail(id, 1, "x").unwrap();
         }
         j.compact().unwrap();
-        // Compact again: now the snapshot holds everything and the
-        // tail is empty of records. The `next` watermark in the tail
-        // header must stop id reuse.
+        // Compact again: now every job is compacted and no live record
+        // names an id. The header's `next` watermark must stop id reuse.
         j.compact().unwrap();
         let mut back = Journal::open(&path).unwrap();
         assert_eq!(back.append_enqueue(&spec).unwrap(), 4);
@@ -1924,13 +1681,18 @@ mod tests {
 
     /// Retired formats are refused, never upgraded or guessed at: the
     /// error names the header the file actually carries, so an old
-    /// `vax-queue-journal v1` or a `vax-campaign-checkpoint v1` left by
-    /// an earlier `run --checkpoint` says what it is.
+    /// `vax-queue-journal` v2 or v1 or a `vax-campaign-checkpoint v1`
+    /// left by an earlier `run --checkpoint` says what it is.
     #[test]
     fn retired_headers_are_refused_naming_the_header() {
         let dir = tempdir("vax-journal-retired");
         let path = dir.join("queue.journal");
         for (text, header) in [
+            (
+                "vax-queue-journal v2 generation 1 next 2\n\
+                 enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
+                "vax-queue-journal v2 generation 1 next 2",
+            ),
             (
                 "vax-queue-journal v1\n\
                  enqueue 1 workload=sci-eng instructions=10 warmup=1\n",
@@ -1945,14 +1707,14 @@ mod tests {
             let err = Journal::open(&path).unwrap_err();
             assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
             let message = err.to_string();
-            assert!(message.contains(HEADER_V2), "{message}");
+            assert!(message.contains(HEADER), "{message}");
             assert!(message.contains(&format!("got `{header}`")), "{message}");
             // Refusing leaves the file as it was.
             assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         }
     }
 
-    /// Counts, offsets and ids near `u64::MAX` must be refused as
+    /// Counts, lengths and ids near `u64::MAX` must be refused as
     /// corruption: trusted, they overflow the offset arithmetic or the
     /// next-id watermark, or ask the allocator for the whole address
     /// space.
@@ -1960,71 +1722,73 @@ mod tests {
     fn hostile_counts_offsets_and_ids_are_corrupt_not_a_panic() {
         let dir = tempdir("vax-journal-hostile");
         let path = dir.join("queue.journal");
-        let tail_g1 = "vax-queue-journal v2 generation 1 next 2\n";
-        let record =
-            "job 1 workload=sci-eng instructions=10 warmup=1\nfail 1 attempts 1 message x\n";
-        for (snapshot, tail) in [
-            (
-                Some(format!(
-                    "vax-queue-snapshot v2 generation 1 jobs 1\nindex\n\
-                     entry 1 18446744073709551615 5 done\nend\n{record}"
-                )),
-                tail_g1,
+        let enqueue = "enqueue 1 workload=sci-eng instructions=10 warmup=1\n";
+        let fail = "fail 1 attempts 1 message x\n";
+        let (e, f) = (enqueue.len(), fail.len());
+        let max = u64::MAX;
+        let half = max / 2 + 1;
+        for text in [
+            // A count past the file's lines runs into EOF.
+            format!("vax-queue-journal v3 next 2 settled {max}\nentry 1 {e} {f} failed\n"),
+            format!(
+                "vax-queue-journal v3 next 2 settled {max}\n\
+                 entry 1 {e} {f} failed\n{enqueue}{fail}"
             ),
-            (
-                Some(format!(
-                    "vax-queue-snapshot v2 generation 1 jobs 1\nindex\n\
-                     entry 1 0 18446744073709551615 done\nend\n{record}"
-                )),
-                tail_g1,
+            // Lengths past the end of the file.
+            format!("vax-queue-journal v3 next 2 settled 1\nentry 1 {e} 999 failed\n{enqueue}{fail}"),
+            format!("vax-queue-journal v3 next 2 settled 1\nentry 1 {e} {max} failed\n{enqueue}{fail}"),
+            // Lengths that overflow `u64`, in one entry and in the sum.
+            format!("vax-queue-journal v3 next 2 settled 1\nentry 1 4294967295 {max} done\n"),
+            format!(
+                "vax-queue-journal v3 next 2 settled 1\nentry 1 0 {} done\n",
+                u128::from(max) + 1
             ),
-            (
-                Some(format!(
-                    "vax-queue-snapshot v2 generation 1 jobs 18446744073709551615\nindex\n\
-                     entry 1 0 {} failed\nend\n{record}",
-                    record.len()
-                )),
-                tail_g1,
+            format!(
+                "vax-queue-journal v3 next 3 settled 2\n\
+                 entry 1 0 {half} done\nentry 2 0 {half} done\n"
             ),
-            (
-                None,
-                "vax-queue-journal v2 generation 0 next 1\n\
-                 enqueue 18446744073709551615 workload=sci-eng instructions=10 warmup=1\n",
+            // Ids that do not increase.
+            format!(
+                "vax-queue-journal v3 next 3 settled 2\nentry 2 0 {f} failed\n\
+                 entry 1 {e} {f} failed\n{fail}{enqueue}{fail}"
+            ),
+            format!(
+                "vax-queue-journal v3 next 3 settled 2\nentry 1 {e} {f} failed\n\
+                 entry 1 {e} {f} failed\n{enqueue}{fail}{enqueue}{fail}"
+            ),
+            // Ids that leave no id to assign next.
+            format!("vax-queue-journal v3 next 2 settled 1\nentry {max} {e} {f} failed\n{enqueue}{fail}"),
+            format!(
+                "vax-queue-journal v3 next 1 settled 0\n\
+                 enqueue {max} workload=sci-eng instructions=10 warmup=1\n"
             ),
         ] {
-            match &snapshot {
-                Some(text) => std::fs::write(snap_path_for(&path), text).unwrap(),
-                None => {
-                    let _ = std::fs::remove_file(snap_path_for(&path));
-                }
-            }
-            std::fs::write(&path, tail).unwrap();
+            std::fs::write(&path, &text).unwrap();
             let opened = std::panic::catch_unwind(|| Journal::open(&path));
             let Ok(result) = opened else {
-                panic!("open panicked on {snapshot:?} + {tail:?}");
+                panic!("open panicked on {text:?}");
             };
             let err = result.err().unwrap_or_else(|| {
-                panic!("open accepted {snapshot:?} + {tail:?}");
+                panic!("open accepted {text:?}");
             });
             assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
         }
     }
 
-    /// Deterministic hostile-bytes sweep: substitute every byte of a
-    /// two-segment journal (snapshot + tail, settled and pending jobs,
-    /// a client name, a complete and a fail record in each) with a few
-    /// values. `open` and `stream_results` may refuse the result but
-    /// must never panic.
+    /// Deterministic hostile-bytes sweep: substitute every byte of one
+    /// journal holding compacted and live jobs (a client name, a
+    /// complete and a fail record in each section, and a pending job)
+    /// with a few values. `open` and `stream_results` may refuse the
+    /// result but must never panic.
     #[test]
     fn byte_substitution_never_panics_open_or_stream() {
         let dir = tempdir("vax-journal-byte-sweep");
         let path = dir.join("queue.journal");
-        let snap_path = snap_path_for(&path);
         let mut j = Journal::open(&path).unwrap();
         let mut spec = JobSpec::new(WorkloadKind::SciEng);
-        for seed in 1..=4 {
+        for seed in 1..=5 {
             spec.seed = Some(seed);
-            j.append_enqueue_for(if seed == 2 { "alice" } else { "" }, &spec)
+            j.append_enqueue_for(if seed % 2 == 0 { "alice" } else { "" }, &spec)
                 .unwrap();
         }
         j.append_start(1, 1).unwrap();
@@ -2037,62 +1801,32 @@ mod tests {
         j.append_start(4, 1).unwrap();
         j.append_fail(4, 2, "late").unwrap();
         drop(j);
-        let snap = std::fs::read(&snap_path).unwrap();
-        let tail = std::fs::read(&path).unwrap();
+        let original = std::fs::read(&path).unwrap();
+        let (index, compacted, live) = sections(&path);
+        assert!(index.contains("settled 2\n"), "{index}");
+        assert!(compacted.contains("client=alice"), "{compacted}");
+        assert!(live.contains("client=alice"), "{live}");
 
         let mut panicked = Vec::new();
-        for (segment, original) in [("snapshot", &snap), ("tail", &tail)] {
-            for at in 0..original.len() {
-                for value in [b'0', b'9', b' ', b'\n', 0xff] {
-                    if original[at] == value {
-                        continue;
+        for at in 0..original.len() {
+            for value in [b'0', b'9', b' ', b'\n', 0xff] {
+                if original[at] == value {
+                    continue;
+                }
+                let mut mutated = original.clone();
+                mutated[at] = value;
+                std::fs::write(&path, &mutated).unwrap();
+                let outcome = std::panic::catch_unwind(|| {
+                    if let Ok(j) = Journal::open(&path) {
+                        let _ = j.stream_results(&mut std::io::sink());
+                        j.job_specs().for_each(drop);
                     }
-                    let mut mutated = original.clone();
-                    mutated[at] = value;
-                    let (snap_bytes, tail_bytes) = if segment == "snapshot" {
-                        (&mutated, &tail)
-                    } else {
-                        (&snap, &mutated)
-                    };
-                    std::fs::write(&snap_path, snap_bytes).unwrap();
-                    std::fs::write(&path, tail_bytes).unwrap();
-                    let outcome = std::panic::catch_unwind(|| {
-                        if let Ok(j) = Journal::open(&path) {
-                            let _ = j.stream_results(&mut std::io::sink());
-                        }
-                    });
-                    if outcome.is_err() {
-                        panicked.push(format!("{segment} byte {at} -> {value:#04x}"));
-                    }
+                });
+                if outcome.is_err() {
+                    panicked.push(format!("byte {at} -> {value:#04x}"));
                 }
             }
         }
         assert!(panicked.is_empty(), "panicked on: {panicked:?}");
-    }
-
-    #[test]
-    fn stale_tail_after_mid_compaction_crash_is_reconciled() {
-        let dir = tempdir("vax-journal-stale-tail");
-        let path = dir.join("queue.journal");
-        let mut j = Journal::open(&path).unwrap();
-        let spec = JobSpec::new(WorkloadKind::Educational);
-        j.append_enqueue(&spec).unwrap();
-        j.append_enqueue(&spec).unwrap();
-        j.append_start(1, 1).unwrap();
-        j.append_complete(1, &sample(WorkloadKind::Educational))
-            .unwrap();
-        let old_tail = std::fs::read(&path).unwrap();
-        let before = all_results(&j);
-        j.compact().unwrap();
-        drop(j);
-        // Simulate dying between the two renames: new snapshot on
-        // disk, pre-compaction tail restored.
-        std::fs::write(&path, &old_tail).unwrap();
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.counts(), (1, 1, 0));
-        assert_eq!(all_results(&j), before);
-        // The settled job's tail records were skipped as stale, not
-        // double-applied; the pending job survived.
-        assert_eq!(j.pending(), vec![2]);
     }
 }

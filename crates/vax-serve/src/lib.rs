@@ -10,10 +10,11 @@
 //! - [`journal::Journal`] — the persistent queue and the repository's
 //!   one durable record log: every lifecycle transition
 //!   (`enqueue`/`start`/`complete`/`fail`) is one appended, flushed
-//!   record in the `vax-queue-journal v2` codec; settled jobs compact
-//!   into a snapshot segment behind an offset index, so replay and
-//!   result streaming are O(unsettled) in memory and the live tail
-//!   stays small no matter how long the queue's history grows;
+//!   record in the one-file `vax-queue-journal v3` codec; compaction
+//!   moves settled jobs behind an index at the head of the file, so
+//!   replay and result streaming are O(unsettled) in memory and the
+//!   live records stay few no matter how long the queue's history
+//!   grows;
 //! - [`queue`] — the in-process executor (one attempt on the worker's
 //!   own thread, stopped at its per-attempt deadline) and the
 //!   `vax-job-result v1` blob remote workers send back;

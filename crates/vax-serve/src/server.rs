@@ -14,9 +14,9 @@
 //! and re-runs exactly the unsettled jobs.
 //!
 //! Results are never held in memory: `results`/`drain` stream each
-//! line straight from the journal's offset index, and every
-//! `compact_every` settlements the journal folds its settled tail into
-//! the snapshot segment so the live file stays O(unsettled).
+//! line straight from the journal's record spans, and every
+//! `compact_every` settlements the journal is compacted, so the live
+//! records it replays stay O(unsettled).
 
 use crate::journal::{valid_client_name, JobId, JobState, Journal, JournalError};
 use crate::queue::{parse_result_blob, ExecError, Executor};
@@ -47,8 +47,8 @@ pub struct ServeConfig {
     /// on `enqueue`), layered under the global capacity. `None` = no
     /// per-client bound.
     pub client_quota: Option<usize>,
-    /// Compact the journal after this many settlements land in the
-    /// tail segment (0 = never compact automatically).
+    /// Compact the journal once this many jobs have settled among its
+    /// live records (0 = never compact automatically).
     pub compact_every: usize,
     /// Retry policy for failing jobs.
     pub retry: RetryPolicy,
@@ -131,9 +131,20 @@ struct State {
     queue: VecDeque<JobId>,
     running: BTreeSet<JobId>,
     draining: bool,
+    /// `drain` replies still being written. The request that started
+    /// one stops the server once it has ended.
+    drains: usize,
     shutdown: bool,
     fatal: Option<String>,
     worker_metrics: Vec<SelfMetrics>,
+}
+
+impl State {
+    /// A draining queue has settled completely and no `drain` reply is
+    /// still being written: the server has nothing left to do.
+    fn drained(&self) -> bool {
+        self.draining && self.drains == 0 && self.queue.is_empty() && self.running.is_empty()
+    }
 }
 
 struct Shared {
@@ -175,9 +186,10 @@ impl Shared {
         None
     }
 
-    /// Fold the settled tail into the snapshot once it is heavy enough.
-    /// Best-effort: a failed compaction leaves the journal exactly as
-    /// it was (write-new-then-rename), so the server keeps running.
+    /// Compact the journal once enough jobs have settled among its live
+    /// records. Best-effort: a failed compaction leaves the journal
+    /// exactly as it was (write-new-then-rename), so the server keeps
+    /// running.
     fn maybe_compact(&self, st: &mut State) {
         if self.compact_every > 0 && st.journal.settled_in_tail() >= self.compact_every {
             if let Err(e) = st.journal.compact() {
@@ -222,6 +234,7 @@ pub fn run_server(
             queue,
             running: BTreeSet::new(),
             draining: config.drain_on_start,
+            drains: 0,
             shutdown: false,
             fatal: None,
             worker_metrics: vec![SelfMetrics::new(); workers],
@@ -305,12 +318,12 @@ pub fn run_server(
 }
 
 /// Block, starting from the locked state `st`, until the server should
-/// stop: a shutdown, or a draining queue settled completely, which this
+/// stop: a shutdown, or a draining queue [`State::drained`], which this
 /// call turns into the shutdown. Every change that can make either true
 /// notifies the condvar, so the wait has no timeout.
 fn await_stop(shared: &Shared, mut st: MutexGuard<'_, State>) {
     while !st.shutdown {
-        if st.draining && st.queue.is_empty() && st.running.is_empty() {
+        if st.drained() {
             st.shutdown = true;
             shared.cv.notify_all();
             break;
@@ -478,21 +491,20 @@ fn serve_request(
                 let mut st = shared.lock();
                 let before = st.journal.settled_in_tail();
                 match st.journal.compact() {
-                    Ok(()) => format!(
-                        "ok compacted {before} settled record(s) into generation {}",
-                        st.journal.generation()
-                    ),
+                    Ok(()) => format!("ok compacted {before} settled record(s)"),
                     Err(e) => format!("reject {e}"),
                 }
             };
             writeln!(writer, "{reply}")
         }
         "shutdown" => {
-            let mut st = shared.lock();
-            st.shutdown = true;
+            // The reply leaves before the server stops: once stopped,
+            // `vax780 serve` exits its process and drops whatever is
+            // still in the connection's reply buffer.
+            let replied = writeln!(writer, "ok").and_then(|()| writer.flush());
+            shared.lock().shutdown = true;
             shared.cv.notify_all();
-            drop(st);
-            writeln!(writer, "ok")
+            replied
         }
         _ => writeln!(
             writer,
@@ -617,14 +629,32 @@ fn handle_metrics(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()
 /// server. New enqueues are rejected from the moment draining starts,
 /// so the id range snapshotted here is complete. Each line is read
 /// back from the journal's offset index one at a time — the drain
-/// never holds more than one result in memory.
+/// never holds more than one result in memory. The server stops only
+/// after the closing `end` has been flushed: once stopped, `vax780
+/// serve` exits its process and drops whatever is still unsent. A drain
+/// whose client goes away leaves the supervisor to stop the server
+/// once the queue has settled.
 fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> {
     let last = {
         let mut st = shared.lock();
         st.draining = true;
+        st.drains += 1;
         shared.cv.notify_all();
         st.journal.last_id()
     };
+    let streamed = stream_as_settled(shared, writer, last);
+    let mut st = shared.lock();
+    st.drains -= 1;
+    if streamed.is_ok() {
+        st.shutdown = true;
+    }
+    shared.cv.notify_all();
+    streamed
+}
+
+/// Write the result lines of jobs `1..=last` as each settles, then
+/// `end`, and flush.
+fn stream_as_settled(shared: &Shared, writer: &mut dyn Write, last: JobId) -> std::io::Result<()> {
     'ids: for id in 1..=last {
         let line = {
             let mut st = shared.lock();
@@ -657,22 +687,20 @@ fn handle_drain(shared: &Shared, writer: &mut dyn Write) -> std::io::Result<()> 
         }
     }
     writeln!(writer, "end")?;
-    let mut st = shared.lock();
-    st.shutdown = true;
-    shared.cv.notify_all();
-    Ok(())
+    writer.flush()
 }
 
 /// Hand one job to a remote worker and record what it sends back.
 ///
 /// The connection stays open for the duration of the attempt: the
-/// server replies `job <id> <spec>` and then reads either
-/// `result <id>` followed by a `vax-job-result v1` blob, or
-/// `fail <id> <message>`. A dropped connection, a read timeout (the
-/// per-attempt deadline applied to the socket), or an unparseable blob
-/// all count as one failed, *retryable* attempt — the job returns to
-/// the queue until the retry policy exhausts, exactly as if a local
-/// worker's attempt had failed.
+/// server replies `job <id> <spec>` and then reads `result <id>`
+/// followed by a `vax-job-result v1` blob, `fail <id> <message>`, or
+/// `fault <id> <message>`. A `fault` settles the job at once, as a
+/// local worker's workload fault does. A `fail` line, a dropped
+/// connection, a read timeout (the per-attempt deadline applied to the
+/// socket), or an unparseable blob all count as one failed, *retryable*
+/// attempt — the job returns to the queue until the retry policy
+/// exhausts, exactly as if a local worker's attempt had failed.
 fn handle_claim(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
@@ -710,7 +738,7 @@ fn handle_claim(
     let _ = reader.get_ref().set_read_timeout(shared.timeout);
     let outcome = read_claim_outcome(reader, id, &spec);
     let mut st = shared.lock();
-    match outcome {
+    let (detail, retryable) = match outcome {
         Ok(ClaimOutcome::Done(m)) => {
             if let Err(e) = st.journal.append_complete(id, &m) {
                 shared.fail_fatal(&mut st, e.to_string());
@@ -720,43 +748,47 @@ fn handle_claim(
             shared.maybe_compact(&mut st);
             shared.cv.notify_all();
             drop(st);
-            writeln!(writer, "ok")
+            return writeln!(writer, "ok");
         }
-        Ok(ClaimOutcome::Failed(_)) | Err(_) => {
-            let detail = match &outcome {
-                Ok(ClaimOutcome::Failed(msg)) if msg.is_empty() => {
-                    "worker reported failure".to_string()
-                }
-                Ok(ClaimOutcome::Failed(msg)) => msg.clone(),
-                Err(e) => format!("worker connection lost: {e}"),
-                Ok(ClaimOutcome::Done(_)) => unreachable!(),
-            };
-            st.running.remove(&id);
-            if attempt >= max_attempts {
-                let message = format!("attempt {attempt}/{max_attempts}: {detail}");
-                if let Err(e) = st.journal.append_fail(id, attempt, &message) {
-                    shared.fail_fatal(&mut st, e.to_string());
-                    return Ok(());
-                }
-                shared.maybe_compact(&mut st);
-            } else {
-                // Retryable: back onto the queue for any worker,
-                // local or remote.
-                st.queue.push_back(id);
-            }
-            shared.cv.notify_all();
-            drop(st);
-            writeln!(writer, "ok")
+        Ok(ClaimOutcome::Failed(msg)) => (msg, true),
+        // A workload fault would repeat on every attempt of the same
+        // deterministic simulation: settle it now, as a local worker
+        // does.
+        Ok(ClaimOutcome::Fault(msg)) => (msg, false),
+        Err(e) => (format!("worker connection lost: {e}"), true),
+    };
+    let detail = if detail.is_empty() {
+        "worker reported failure".to_string()
+    } else {
+        detail
+    };
+    st.running.remove(&id);
+    if attempt >= max_attempts || !retryable {
+        let message = format!("attempt {attempt}/{max_attempts}: {detail}");
+        if let Err(e) = st.journal.append_fail(id, attempt, &message) {
+            shared.fail_fatal(&mut st, e.to_string());
+            return Ok(());
         }
+        shared.maybe_compact(&mut st);
+    } else {
+        // Retryable: back onto the queue for any worker, local or
+        // remote.
+        st.queue.push_back(id);
     }
+    shared.cv.notify_all();
+    drop(st);
+    writeln!(writer, "ok")
 }
 
 /// What a remote worker sent back for one claim.
 enum ClaimOutcome {
     /// A parsed `vax-job-result v1` blob.
     Done(vax780_core::MeasuredWorkload),
-    /// A `fail <id> <message>` report.
+    /// A `fail <id> <message>` report: a retryable attempt.
     Failed(String),
+    /// A `fault <id> <message>` report: the workload faulted, so the
+    /// job settles without a retry.
+    Fault(String),
 }
 
 /// Read the worker's half of a claim; `Err` means connection
@@ -772,6 +804,12 @@ fn read_claim_outcome(
         return Err(bad("connection closed before a result".to_string()));
     }
     let head = line.trim();
+    // `<verb> <id> <message>`: the message of a `fail` or `fault` line.
+    let report = |verb: &str| {
+        head.strip_prefix(&format!("{verb} {id}"))
+            .filter(|r| r.is_empty() || r.starts_with(' '))
+            .map(|r| r.trim().to_string())
+    };
     if head == format!("result {id}") {
         let mut blob = String::new();
         loop {
@@ -787,11 +825,10 @@ fn read_claim_outcome(
         }
         let m = parse_result_blob(&blob, spec.workload.name()).map_err(bad)?;
         Ok(ClaimOutcome::Done(m))
-    } else if let Some(rest) = head
-        .strip_prefix(&format!("fail {id}"))
-        .filter(|r| r.is_empty() || r.starts_with(' '))
-    {
-        Ok(ClaimOutcome::Failed(rest.trim().to_string()))
+    } else if let Some(msg) = report("fail") {
+        Ok(ClaimOutcome::Failed(msg))
+    } else if let Some(msg) = report("fault") {
+        Ok(ClaimOutcome::Fault(msg))
     } else {
         Err(bad(format!("unexpected worker reply `{head}`")))
     }
@@ -864,6 +901,7 @@ mod tests {
                 queue: VecDeque::new(),
                 running: BTreeSet::new(),
                 draining: false,
+                drains: 0,
                 shutdown: false,
                 fatal: None,
                 worker_metrics: Vec::new(),
@@ -998,6 +1036,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A remote worker that answers its claim with `fault` settles the
+    /// job at once under `retry 2`: one `fail` record with the local
+    /// fault's `attempt k/max:` message and `"attempts":1`, and the job
+    /// is never claimed again. A `fail` line keeps the retry budget.
+    #[test]
+    fn a_remote_fault_settles_on_its_first_attempt() {
+        let dir = tempdir("vax-serve-remote-fault");
+        let journal_path = dir.join("queue.journal");
+        {
+            let mut j = Journal::open(&journal_path).unwrap();
+            for seed in 1..=2 {
+                j.append_enqueue(&quick_spec(WorkloadKind::SciEng, seed))
+                    .unwrap();
+            }
+        }
+        let config = ServeConfig {
+            journal: journal_path.clone(),
+            workers: 0,
+            retry: RetryPolicy::from_retries(2, 0),
+            ..ServeConfig::default()
+        };
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let server = {
+            let endpoint = endpoint.clone();
+            std::thread::spawn(move || {
+                run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor))
+            })
+        };
+        // One claim from a fake worker: the server's reply, and the id
+        // it handed out, answered with `<verb> <id> <message>`.
+        let claim = |verb: &str, message: &str| -> String {
+            let conn = endpoint.connect(Duration::from_secs(5)).unwrap();
+            let (mut reader, mut writer) = conn.split().unwrap();
+            writer.write_all(b"claim\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            if let Some(rest) = reply.strip_prefix("job ") {
+                let id = rest.split(' ').next().unwrap();
+                writeln!(writer, "{verb} {id} {message}").unwrap();
+                let mut ack = String::new();
+                reader.read_line(&mut ack).unwrap();
+                assert_eq!(ack, "ok\n");
+            }
+            reply
+        };
+        assert!(claim("fault", "workload fault: synthetic").starts_with("job 1 "));
+        for _ in 0..3 {
+            assert!(claim("fail", "worker trouble").starts_with("job 2 "));
+        }
+        assert_eq!(claim("fail", "unused"), "idle\n");
+        let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+        assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+        server.join().unwrap().unwrap();
+
+        let text = std::fs::read_to_string(&journal_path).unwrap();
+        assert_eq!(text.matches("\nstart 1 ").count(), 1, "{text}");
+        assert_eq!(text.matches("\nfail 1 ").count(), 1, "{text}");
+        let j = Journal::open(&journal_path).unwrap();
+        let fault = j.result_line(1).unwrap().unwrap();
+        assert!(
+            fault.contains(
+                "\"failed\":true,\"attempts\":1,\
+                 \"message\":\"attempt 1/3: workload fault: synthetic\""
+            ),
+            "{fault}"
+        );
+        let fail = j.result_line(2).unwrap().unwrap();
+        assert!(
+            fail.contains("\"attempts\":3,\"message\":\"attempt 3/3: worker trouble\""),
+            "{fail}"
+        );
     }
 
     #[test]
@@ -1307,7 +1418,13 @@ mod tests {
         run_server(&config, None, Arc::new(InProcessExecutor)).unwrap();
         let j = Journal::open(&journal_path).unwrap();
         assert_eq!(j.counts(), (0, 4, 0));
-        assert!(j.generation() >= 1, "compaction never ran");
+        let header = std::fs::read_to_string(&journal_path).unwrap();
+        let header = header.lines().next().unwrap();
+        assert!(
+            header.starts_with("vax-queue-journal v3 next 5 settled ")
+                && !header.ends_with(" settled 0"),
+            "compaction never ran: {header}"
+        );
         // Reference: the same queue drained without compaction.
         let ref_path = dir.join("ref.journal");
         {
@@ -1342,8 +1459,8 @@ mod tests {
     /// A journal at `path` with `jobs` jobs shaped like hostbench's
     /// `campaign` (full-width seeds, every memory key set), returning
     /// their specs in id order. The first `settled` settle, alternately
-    /// done and failed: the first half of them compacted into the
-    /// snapshot, the rest in the tail. The others stay pending.
+    /// done and failed: the first half of them compacted, the rest among
+    /// the live records. The others stay pending.
     fn campaign_journal(path: &Path, jobs: usize, settled: usize) -> Vec<JobSpec> {
         let mut j = Journal::open(path).unwrap();
         let specs: Vec<JobSpec> = (0..jobs as u64)
@@ -1375,9 +1492,9 @@ mod tests {
         specs
     }
 
-    /// `status` on a 60-job queue whose settled jobs span the snapshot
-    /// and the tail (plus pending and running jobs), with its expected
-    /// bytes spelled out from the specs.
+    /// `status` on a 60-job queue whose settled jobs are compacted and
+    /// live (plus pending and running jobs), with its expected bytes
+    /// spelled out from the specs.
     fn sixty_job_status(name: &str) -> (Shared, String) {
         let dir = tempdir(name);
         let specs = campaign_journal(&dir.join("queue.journal"), 60, 40);
@@ -1406,13 +1523,13 @@ mod tests {
         (shared, expected)
     }
 
-    /// `status` reads each settled spec alone, through one set of
-    /// handles per pass; the reply is the same bytes the spec lines
-    /// always gave, from the snapshot and from the tail.
+    /// `status` reads each settled spec alone, through one handle per
+    /// pass; the reply is the same bytes the spec lines always gave,
+    /// for compacted jobs and for jobs settled among the live records.
     #[test]
-    fn status_lists_settled_specs_from_snapshot_and_tail_unchanged() {
+    fn status_lists_settled_specs_compacted_and_live_unchanged() {
         let (shared, expected) = sixty_job_status("vax-serve-status-specs");
-        assert_eq!(shared.lock().journal.generation(), 1);
+        assert_eq!(shared.lock().journal.settled_in_tail(), 20);
         let mut out = Vec::new();
         handle_status(&shared, &mut out).unwrap();
         assert_eq!(String::from_utf8(out).unwrap(), expected);
@@ -1455,6 +1572,117 @@ mod tests {
         );
         assert_eq!(String::from_utf8(writer.bytes).unwrap(), expected);
         assert_eq!(writer.writes, 1);
+    }
+
+    /// Records the bytes that reach the connection, and how many of them
+    /// arrived while the server was still running.
+    struct StopWatchingWriter<'s> {
+        shared: &'s Shared,
+        sent: Vec<u8>,
+        sent_while_running: usize,
+    }
+
+    impl Write for StopWatchingWriter<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.sent.extend_from_slice(buf);
+            if !self.shared.lock().shutdown {
+                self.sent_while_running = self.sent.len();
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `drain` and `shutdown` put their last reply line on the
+    /// connection before they stop the server: a stopped `vax780 serve`
+    /// exits its process, and a line still in the reply buffer would be
+    /// lost (seen as `drain --socket` failing with "connection closed
+    /// before `end`").
+    #[test]
+    fn the_last_reply_leaves_before_the_server_stops() {
+        for (request, last) in [("drain", "end\n"), ("shutdown", "ok\n")] {
+            let dir = tempdir(&format!("vax-serve-last-reply-{request}"));
+            let shared = test_shared(Journal::open(&dir.join("queue.journal")).unwrap(), 4, None);
+            let (mut client, server) = std::os::unix::net::UnixStream::pair().unwrap();
+            client.write_all(format!("{request}\n").as_bytes()).unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut writer = StopWatchingWriter {
+                shared: &shared,
+                sent: Vec::new(),
+                sent_while_running: 0,
+            };
+            serve_conn(
+                &shared,
+                &mut BufReader::new(Conn::Unix(server)),
+                &mut writer,
+            );
+            assert!(shared.lock().shutdown, "{request}");
+            assert_eq!(writer.sent, last.as_bytes(), "{request}");
+            assert_eq!(writer.sent_while_running, last.len(), "{request}");
+        }
+    }
+
+    /// Blocks its first write until released, so a test can look at
+    /// the server while a reply is half written.
+    struct GatedWriter {
+        started: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for GatedWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() {
+                self.started.send(()).unwrap();
+                self.release.recv().unwrap();
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `drain` of a settled queue keeps the server up until its reply
+    /// has ended: a supervisor that stopped a draining server as soon as
+    /// the queue settled let `vax780 serve` exit under a half-written
+    /// reply (seen as `drain --socket` failing with "connection closed
+    /// before `end`" after 0 lines).
+    #[test]
+    fn a_drain_reply_keeps_a_settled_server_up_until_its_end() {
+        let dir = tempdir("vax-serve-drain-settled");
+        campaign_journal(&dir.join("queue.journal"), 2, 2);
+        let shared = &test_shared(Journal::open(&dir.join("queue.journal")).unwrap(), 4, None);
+        std::thread::scope(|s| {
+            // Owned by this closure, so a failed assertion drops
+            // `release_tx` and the blocked writer returns.
+            let (started, started_rx) = std::sync::mpsc::channel();
+            let (release_tx, release) = std::sync::mpsc::channel();
+            let drain = s.spawn(move || {
+                let mut writer = GatedWriter {
+                    started,
+                    release,
+                    bytes: Vec::new(),
+                };
+                handle_drain(shared, &mut writer).unwrap();
+                writer.bytes
+            });
+            started_rx.recv().unwrap();
+            assert!(
+                !shared.lock().drained(),
+                "the server may stop under a half-written drain"
+            );
+            release_tx.send(()).unwrap();
+            let reply = String::from_utf8(drain.join().unwrap()).unwrap();
+            assert_eq!(reply.lines().count(), 3, "{reply}");
+            assert!(reply.ends_with("end\n"), "{reply}");
+        });
+        assert!(shared.lock().shutdown);
     }
 
     /// Read one reply from a raw connection: its first line, or
@@ -1537,7 +1765,7 @@ mod tests {
             .unwrap()
             .unwrap();
         let files = || {
-            ["queue.journal", "queue.journal.snap"]
+            ["queue.journal", "queue.journal.tmp"]
                 .map(|name| std::fs::read(dir.join(name)).unwrap_or_default())
         };
         let before = files();

@@ -12,11 +12,14 @@
 //! | `metrics`        | `ok …` summary, `worker <json>` lines, `end` |
 //! | `drain`          | all results streamed in id order as jobs     |
 //! |                  | settle, then `end`; the server then exits    |
-//! | `compact`        | `ok …` — fold settled records into the       |
-//! |                  | journal's snapshot segment now               |
+//! | `compact`        | `ok compacted <n> settled record(s)` — move  |
+//! |                  | settled jobs into the compacted section now  |
 //! | `claim`          | `job <id> <spec>`, `idle`, or `gone`; the    |
-//! |                  | worker then sends `result <id>` + blob or    |
-//! |                  | `fail <id> <message>` on the same connection |
+//! |                  | worker then sends `result <id>` + blob,      |
+//! |                  | `fail <id> <message>` (retried under the     |
+//! |                  | budget), or `fault <id> <message>` (a        |
+//! |                  | workload fault, settled at once) on the same |
+//! |                  | connection                                   |
 //! | `shutdown`       | `ok` — stop accepting, abandon pending work  |
 //!
 //! Everything is UTF-8 lines; multi-line replies are terminated by a

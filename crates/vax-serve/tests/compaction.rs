@@ -1,12 +1,12 @@
 //! Compaction crash-safety and streaming regressions.
 //!
-//! Compaction replaces two files by write-new-then-rename. A `kill -9`
-//! can land at any byte of the new snapshot, between the two renames,
-//! or after both — and every one of those on-disk states must replay
-//! to the same queue and, once settled, merge into byte-identical
-//! results. The 10k-job test pins the streaming paths: `drain` and
-//! `results` go to the wire one record at a time, and their bytes
-//! never change across a compaction.
+//! Compaction replaces the journal by write-new-then-rename. A `kill -9`
+//! can land at any byte of the new journal's `.tmp` file or after the
+//! rename — and every one of those on-disk states must replay to the
+//! same queue and, once settled, merge into byte-identical results. The
+//! 10k-job test pins the streaming paths: `drain` and `results` go to
+//! the wire one record at a time, and their bytes never change across a
+//! compaction.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,10 +106,10 @@ fn settle_rest(path: &Path) {
     }
 }
 
-/// Kill -9 mid-compaction, at every byte offset of the new snapshot
-/// and at both rename boundaries: each surviving on-disk state opens
-/// to the identical queue, and settling the remainder from any of
-/// them merges byte-identical results.
+/// Kill -9 mid-compaction, at every byte offset of the new journal and
+/// after the rename: each surviving on-disk state opens to the
+/// identical queue, and settling the remainder from any of them merges
+/// byte-identical results.
 #[test]
 fn mid_compaction_crash_at_every_byte_offset_merges_bit_identical() {
     let dir = tempdir("vax-serve-compact-crash");
@@ -117,73 +117,61 @@ fn mid_compaction_crash_at_every_byte_offset_merges_bit_identical() {
     // The pre-compaction journal and what it replays to.
     let original = dir.join("original.journal");
     seed_journal(&original);
-    let tail_bytes = std::fs::read(&original).unwrap();
+    let journal_bytes = std::fs::read(&original).unwrap();
     let reference = observe(&original);
 
     // A completed compaction of the same history: the target state.
     let full = dir.join("full.journal");
-    std::fs::write(&full, &tail_bytes).unwrap();
+    std::fs::write(&full, &journal_bytes).unwrap();
     Journal::open(&full).unwrap().compact().unwrap();
-    let snap_bytes = std::fs::read(dir.join("full.journal.snap")).unwrap();
-    let new_tail_bytes = std::fs::read(&full).unwrap();
+    let compacted_bytes = std::fs::read(&full).unwrap();
     assert_eq!(observe(&full), reference, "compaction changed the queue");
 
     // And the fully-settled end state all crash survivors must reach.
     let settled = dir.join("settled.journal");
-    std::fs::write(&settled, &tail_bytes).unwrap();
+    std::fs::write(&settled, &journal_bytes).unwrap();
     settle_rest(&settled);
     let final_reference = observe(&settled);
     assert_eq!(final_reference.1, (0, 5, 1));
 
     let crash = dir.join("crash.journal");
-    let crash_snap = dir.join("crash.journal.snap");
-    let crash_snap_tmp = dir.join("crash.journal.snap.tmp");
+    let crash_tmp = dir.join("crash.journal.tmp");
     let reset = || {
-        for p in [&crash, &crash_snap, &crash_snap_tmp] {
+        for p in [&crash, &crash_tmp] {
             let _ = std::fs::remove_file(p);
         }
     };
 
-    // Family A — killed while writing the new snapshot: the tmp file
+    // Family A — killed while writing the new journal: the tmp file
     // holds any prefix, nothing was renamed. The journal is untouched.
-    for cut in 0..=snap_bytes.len() {
+    for cut in 0..=compacted_bytes.len() {
         reset();
-        std::fs::write(&crash, &tail_bytes).unwrap();
-        std::fs::write(&crash_snap_tmp, &snap_bytes[..cut]).unwrap();
-        assert_eq!(observe(&crash), reference, "snap.tmp cut at byte {cut}");
+        std::fs::write(&crash, &journal_bytes).unwrap();
+        std::fs::write(&crash_tmp, &compacted_bytes[..cut]).unwrap();
+        assert_eq!(observe(&crash), reference, "tmp cut at byte {cut}");
+        assert_eq!(std::fs::read(&crash).unwrap(), journal_bytes);
         // Re-running the interrupted compaction lands the real thing.
         Journal::open(&crash).unwrap().compact().unwrap();
         assert_eq!(
-            std::fs::read(&crash_snap).unwrap(),
-            snap_bytes,
-            "recompacted snapshot differs (tmp cut at byte {cut})"
+            std::fs::read(&crash).unwrap(),
+            compacted_bytes,
+            "recompacted journal differs (tmp cut at byte {cut})"
         );
-        assert_eq!(std::fs::read(&crash).unwrap(), new_tail_bytes);
+        assert!(!crash_tmp.exists(), "tmp cut at byte {cut}");
         assert_eq!(observe(&crash), reference);
     }
 
-    // Family B — killed between the renames: new snapshot in place,
-    // the tail still the old generation. Its settled records are
-    // reconciled as no-ops against the snapshot.
+    // Family B — killed after the rename: the compacted state.
     reset();
-    std::fs::write(&crash, &tail_bytes).unwrap();
-    std::fs::write(&crash_snap, &snap_bytes).unwrap();
-    assert_eq!(observe(&crash), reference, "stale-tail window");
-    settle_rest(&crash);
-    assert_eq!(observe(&crash), final_reference, "stale-tail settle");
-
-    // Family C — killed after both renames: the compacted state.
-    reset();
-    std::fs::write(&crash, &new_tail_bytes).unwrap();
-    std::fs::write(&crash_snap, &snap_bytes).unwrap();
+    std::fs::write(&crash, &compacted_bytes).unwrap();
     assert_eq!(observe(&crash), reference, "post-rename state");
     settle_rest(&crash);
     assert_eq!(observe(&crash), final_reference, "post-rename settle");
 
     // And settling straight from a family-A survivor matches too.
     reset();
-    std::fs::write(&crash, &tail_bytes).unwrap();
-    std::fs::write(&crash_snap_tmp, &snap_bytes[..snap_bytes.len() / 2]).unwrap();
+    std::fs::write(&crash, &journal_bytes).unwrap();
+    std::fs::write(&crash_tmp, &compacted_bytes[..compacted_bytes.len() / 2]).unwrap();
     settle_rest(&crash);
     assert_eq!(observe(&crash), final_reference, "mid-write settle");
 
@@ -191,20 +179,25 @@ fn mid_compaction_crash_at_every_byte_offset_merges_bit_identical() {
 }
 
 /// A compaction is idempotent at the byte level: compacting an
-/// already-compacted journal only bumps the generation, and the
-/// streamed results never change.
+/// already-compacted journal rewrites the same bytes, and the streamed
+/// results never change.
 #[test]
 fn repeated_compaction_is_stable() {
     let dir = tempdir("vax-serve-compact-stable");
     let path = dir.join("q.journal");
     seed_journal(&path);
     let reference = observe(&path);
-    for round in 1..=3u64 {
+    let mut compacted: Option<Vec<u8>> = None;
+    for round in 1..=3 {
         let mut j = Journal::open(&path).unwrap();
         j.compact().unwrap();
-        assert_eq!(j.generation(), round);
         assert_eq!(j.settled_in_tail(), 0);
         drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        if let Some(first) = &compacted {
+            assert_eq!(&bytes, first, "round {round}");
+        }
+        compacted.get_or_insert(bytes);
         assert_eq!(observe(&path), reference, "round {round}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -267,7 +260,7 @@ fn ten_thousand_job_drain_streams_byte_identical_across_compaction() {
         "drain bytes differ from results bytes"
     );
 
-    // Compaction folds all 10k results behind the snapshot index; the
+    // Compaction moves all 10k jobs into the compacted section; the
     // streams must not move by a byte.
     Journal::open(&path).unwrap().compact().unwrap();
     let (lines, compacted) = stream(&path);

@@ -113,8 +113,8 @@ proptest! {
     /// and check: settled jobs run zero times, unsettled jobs exactly
     /// once, and the merged result lines are byte-identical to an
     /// uninterrupted run of the same queue — whether or not the
-    /// interrupted journal was compacted into v2 segments before the
-    /// resume or after it.
+    /// interrupted journal was compacted before the resume or after
+    /// it.
     #[test]
     fn resumed_queue_is_idempotent_and_bit_identical(
         n in 1usize..6,
@@ -163,9 +163,9 @@ proptest! {
             }
         }
 
-        // Optionally fold the pre-crash settled records into a v2
-        // snapshot segment: the resume must behave identically whether
-        // its history lives in the tail or behind the snapshot index.
+        // Optionally compact the pre-crash settled jobs: the resume
+        // must behave identically whether their records are live or
+        // compacted.
         if compact_before {
             Journal::open(&interrupted).unwrap().compact().unwrap();
         }
@@ -216,7 +216,7 @@ proptest! {
         prop_assert_eq!(merged, ref_merged);
 
         // Every completed job's measurement reads back exactly, from
-        // the tail or from behind the snapshot index.
+        // the live records or from the compacted section.
         let journal = Journal::open(&interrupted).unwrap();
         for (id, &seed) in (1..).zip(&seeds) {
             match journal.measurement(id).unwrap() {

@@ -40,9 +40,10 @@
 //! pool. The journal is private and temporary unless `--checkpoint
 //! FILE` names it, so a killed campaign resumes from the file. `serve`
 //! runs the crash-safe campaign server:
-//! a persistent `vax-queue-journal v2` job queue (append-only tail plus
-//! a compacted snapshot of settled jobs, so replay stays O(unsettled)
-//! no matter the history) drained by a worker pool (threads, or remote
+//! a persistent `vax-queue-journal v3` job queue (one append-only file
+//! whose compacted settled jobs replay from an index without being
+//! read, so replay stays O(unsettled) no matter the history) drained by
+//! a worker pool (threads, or remote
 //! `vax780 worker --connect` processes claiming over TCP), listening on
 //! a Unix socket or TCP address with bounded-capacity backpressure and
 //! optional per-client quotas — `enqueue`, `status`, `drain`, and
@@ -149,7 +150,7 @@ const USAGE: &str =
      worker  --connect PATH|tcp:ADDR  --timeout-secs S\n\
      \x20       (claim jobs from a remote `serve` until it drains)\n\
      compact (--queue FILE | --socket PATH)\n\
-     \x20       (fold settled records into the journal's snapshot segment)\n\
+     \x20       (rewrite the journal with its settled jobs compacted)\n\
      sweep   --workload NAME|all  --instructions N  --warmup N\n\
      \x20       --axis cache-size|cache-ways|tb-entries|tb-split|write-buffer|decode-overlap\n\
      \x20       --jobs N  --serial  --csv FILE  --jsonl FILE  --metrics\n\
@@ -771,6 +772,20 @@ fn cmd_enqueue(args: &[String]) -> ExitCode {
     }
 }
 
+/// Offline readers (`status`, `drain` and `compact` with `--queue`)
+/// need a journal that exists: opening a missing path would create an
+/// empty queue, report on it and leave the file behind. `enqueue
+/// --queue`, `serve` and `run --checkpoint` create the journal.
+fn existing_queue(command: &str, queue: &str) -> Result<(), String> {
+    match std::path::Path::new(queue).try_exists() {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(format!(
+            "vax780 {command}: queue journal {queue} does not exist"
+        )),
+        Err(e) => Err(format!("vax780 {command}: queue journal {queue}: {e}")),
+    }
+}
+
 /// Show the queue: per-job state plus done/failed counts, either from
 /// a live server (`--socket`) or straight from a journal (`--queue`).
 fn cmd_status(args: &[String]) -> ExitCode {
@@ -797,6 +812,7 @@ fn cmd_status(args: &[String]) -> ExitCode {
             }
         }
         (Some(queue), None) => {
+            or_fail!(existing_queue("status", queue));
             let journal = match Journal::open(std::path::Path::new(queue)) {
                 Ok(j) => j,
                 Err(e) => {
@@ -948,6 +964,7 @@ fn cmd_drain(args: &[String]) -> ExitCode {
             }
         }
         (Some(queue), None) => {
+            or_fail!(existing_queue("drain", queue));
             config.drain_on_start = true;
             match run_server(&config, None, Arc::new(InProcessExecutor)) {
                 Ok(report) => {
@@ -992,7 +1009,7 @@ fn cmd_drain(args: &[String]) -> ExitCode {
 fn cmd_worker(args: &[String]) -> ExitCode {
     use std::io::{BufRead, Write};
     use std::time::Duration;
-    use vax_serve::queue::render_result_blob;
+    use vax_serve::queue::{render_result_blob, ExecError};
     use vax_serve::{Endpoint, Executor, InProcessExecutor, JobSpec};
 
     let Some(connect) = opt(args, "--connect") else {
@@ -1042,21 +1059,24 @@ fn cmd_worker(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         };
         let outcome = JobSpec::parse(spec_line)
-            .map_err(|e| format!("bad spec: {e}"))
-            .and_then(|spec| {
-                InProcessExecutor
-                    .run(&spec, timeout)
-                    .map_err(|e| e.to_string().replace('\n', " "))
-            });
+            .map_err(|e| ExecError::Failed(format!("bad spec: {e}")))
+            .and_then(|spec| InProcessExecutor.run(&spec, timeout));
         let sent = match &outcome {
             Ok(m) => {
                 done += 1;
                 write!(writer, "result {id}\n{}", render_result_blob(m))
             }
-            Err(msg) => {
+            Err(e) => {
                 failed += 1;
+                let msg = e.to_string().replace('\n', " ");
                 eprintln!("vax780 worker: job {id}: {msg}");
-                writeln!(writer, "fail {id} {msg}")
+                // A workload fault would fault again on any worker: the
+                // server settles a `fault` at once and retries a `fail`.
+                let verb = match e {
+                    ExecError::Fault(_) => "fault",
+                    _ => "fail",
+                };
+                writeln!(writer, "{verb} {id} {msg}")
             }
         }
         .and_then(|()| writer.flush());
@@ -1073,8 +1093,8 @@ fn cmd_worker(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Fold settled jobs into the journal's snapshot segment now: offline
-/// against `--queue`, or over `--socket` by asking a live server.
+/// Compact the journal's settled jobs now: offline against `--queue`,
+/// or over `--socket` by asking a live server.
 fn cmd_compact(args: &[String]) -> ExitCode {
     use std::time::Duration;
     use vax_serve::{Client, Endpoint, Journal};
@@ -1106,6 +1126,7 @@ fn cmd_compact(args: &[String]) -> ExitCode {
             }
         }
         (Some(queue), None) => {
+            or_fail!(existing_queue("compact", queue));
             let mut journal = match Journal::open(std::path::Path::new(queue)) {
                 Ok(j) => j,
                 Err(e) => {
@@ -1123,9 +1144,8 @@ fn cmd_compact(args: &[String]) -> ExitCode {
             }
             let (pending, done, failed) = journal.counts();
             println!(
-                "compacted {queue}: generation {}, folded {folded} settled record(s); \
-                 {pending} pending, {done} done, {failed} failed",
-                journal.generation()
+                "compacted {queue}: folded {folded} settled record(s); \
+                 {pending} pending, {done} done, {failed} failed"
             );
             ExitCode::SUCCESS
         }

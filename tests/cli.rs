@@ -340,11 +340,25 @@ fn retry_flags_reject_non_numeric_values_naming_the_flag() {
         );
     }
 
-    // Valid values are accepted end to end (an offline drain of an
-    // empty queue).
+    // Valid values are accepted end to end (an offline drain of a
+    // one-job queue).
     let dir = std::env::temp_dir().join("vax780-retry-flags-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    let out = vax780()
+        .args(["enqueue", "--queue"])
+        .arg(dir.join("q.journal"))
+        .args([
+            "--spec",
+            "workload=educational instructions=2000 warmup=500",
+        ])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let out = vax780()
         .args(["drain", "--queue"])
         .arg(dir.join("q.journal"))
@@ -356,6 +370,54 @@ fn retry_flags_reject_non_numeric_values_naming_the_flag() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// `status`, `compact` and `drain` against a `--queue` path that does
+/// not exist fail naming the path and create nothing: a typo must not
+/// report an empty queue and leave a fresh journal behind. `enqueue
+/// --queue` still creates the journal.
+#[test]
+fn offline_readers_refuse_a_missing_journal_and_create_nothing() {
+    let dir = std::env::temp_dir().join("vax780-missing-journal-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("typo.journal");
+    for command in ["status", "compact", "drain"] {
+        let out = vax780()
+            .args([command, "--queue"])
+            .arg(&journal)
+            .output()
+            .expect("runs");
+        assert!(!out.status.success(), "{command} of a missing journal");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{} does not exist", journal.display())),
+            "{command}: stderr must name the path:\n{err}"
+        );
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{command} created a file"
+        );
+    }
+    let out = vax780()
+        .args(["enqueue", "--queue"])
+        .arg(&journal)
+        .args([
+            "--spec",
+            "workload=educational instructions=2000 warmup=500",
+        ])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let out = vax780()
+        .args(["status", "--queue"])
+        .arg(&journal)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("pending 1 done 0 failed 0"), "{text}");
 }
 
 #[test]
@@ -552,8 +614,8 @@ fn output_write_failures_exit_nonzero_naming_the_path() {
 /// two of the composite's five jobs settled beforehand by `enqueue` and
 /// `drain` are restored, the other three run, and the composite equals
 /// an uninterrupted campaign's. A journal of another campaign, an old
-/// `vax-queue-journal v1` and a retired `vax-campaign-checkpoint v1`
-/// are all refused, naming what they hold.
+/// `vax-queue-journal` v2 or v1 and a retired `vax-campaign-checkpoint
+/// v1` are all refused, naming what they hold.
 #[test]
 fn run_checkpoint_resumes_a_partly_drained_journal_and_matches_uninterrupted() {
     let dir = std::env::temp_dir().join("vax780-ckpt-cli-test");
@@ -662,7 +724,11 @@ fn run_checkpoint_resumes_a_partly_drained_journal_and_matches_uninterrupted() {
     );
 
     // Retired formats are refused with the header they carry.
-    for header in ["vax-queue-journal v1", "vax-campaign-checkpoint v1"] {
+    for header in [
+        "vax-queue-journal v2 generation 0 next 1",
+        "vax-queue-journal v1",
+        "vax-campaign-checkpoint v1",
+    ] {
         let old = dir.join("old.file");
         std::fs::write(&old, format!("{header}\n")).unwrap();
         let out = vax780()

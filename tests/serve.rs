@@ -382,22 +382,21 @@ fn remote_tcp_worker_settles_the_queue_bit_identical() {
 }
 
 /// A deterministic workload fault settles on its first attempt under
-/// `drain`'s default retry budget: another attempt would run the same
-/// seeded simulation into the same fault. This seed's timesharing-light
-/// image faults because two kernel interrupt service routines do not
-/// save R2 and R3, so the pin moves once the generator is fixed.
+/// `drain`'s default retry budget, and on a remote `vax780 worker`
+/// under `serve --retry 2`: another attempt would run the same seeded
+/// simulation into the same fault. This seed's timesharing-light image
+/// faults because two kernel interrupt service routines do not save R2
+/// and R3, so the pin moves once the generator is fixed.
 #[test]
 fn a_workload_fault_settles_on_its_first_attempt() {
+    const FAULTING: &str = "workload=timesharing-light instructions=1000000 warmup=50000 \
+                            seed=9766933028950949136";
     let dir = tempdir("vax780-serve-fault-once");
     let journal = dir.join("queue.journal");
     let out = vax780()
         .args(["enqueue", "--queue"])
         .arg(&journal)
-        .args([
-            "--spec",
-            "workload=timesharing-light instructions=1000000 warmup=50000 \
-             seed=9766933028950949136",
-        ])
+        .args(["--spec", FAULTING])
         .output()
         .expect("runs");
     assert!(out.status.success());
@@ -416,4 +415,52 @@ fn a_workload_fault_settles_on_its_first_attempt() {
     );
     assert!(result.contains("0x00063e50"), "{result}");
     assert!(result.contains("pc=0x00019930"), "{result}");
+
+    // The same job on a remote worker: it reports a `fault`, not a
+    // retryable `fail`, and the server records the local message.
+    let socket = dir.join("s.sock");
+    let _server = KillOnDrop(
+        vax780()
+            .args(["serve", "--queue"])
+            .arg(dir.join("remote.journal"))
+            .arg("--socket")
+            .arg(&socket)
+            .args(["--jobs", "0", "--retry", "2"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("server spawns"),
+    );
+    let out = vax780()
+        .args(["enqueue", "--socket"])
+        .arg(&socket)
+        .args(["--spec", FAULTING])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let worker = vax780()
+        .args(["worker", "--connect"])
+        .arg(&socket)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    let out = vax780()
+        .args(["drain", "--socket"])
+        .arg(&socket)
+        .output()
+        .expect("runs");
+    let remote = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        remote,
+        result.replace("attempt 1/2:", "attempt 1/3:"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let worker = worker.wait_with_output().expect("worker exits");
+    let worker_err = String::from_utf8_lossy(&worker.stderr);
+    assert!(
+        worker_err.contains("ran 0 job(s), 1 failed attempt(s)"),
+        "{worker_err}"
+    );
 }
