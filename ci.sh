@@ -170,6 +170,33 @@ WORKER_PID=$!
 wait "$SERVE_PID"
 wait "$WORKER_PID"
 diff "$CKPT_DIR/reference.jsonl" "$CKPT_DIR/remote.jsonl"
+# Resume leg: a job a killed server left mid-attempt (a dangling
+# `start`) settles on a remote worker exactly as an offline drain of
+# the same journal settles it; the open attempt does not count against
+# `--retry 0`. The seed faults, so the job fails and `serve` and both
+# drains exit 1.
+expect_exit_1() {
+    "$@" && status=0 || status=$?
+    test "$status" -eq 1
+}
+"$VAX780" enqueue --queue "$CKPT_DIR/resume-offline.journal" --spec \
+    "workload=timesharing-light instructions=1000000 warmup=50000 seed=9766933028950949136"
+echo 'start 1 attempt 1' >> "$CKPT_DIR/resume-offline.journal"
+cp "$CKPT_DIR/resume-offline.journal" "$CKPT_DIR/resume-remote.journal"
+expect_exit_1 "$VAX780" drain --queue "$CKPT_DIR/resume-offline.journal" --retry 0 \
+    --out "$CKPT_DIR/resume-offline.jsonl"
+"$VAX780" serve --queue "$CKPT_DIR/resume-remote.journal" \
+    --socket tcp:127.0.0.1:17781 --jobs 0 --retry 0 &
+SERVE_PID=$!
+"$VAX780" worker --connect tcp:127.0.0.1:17781 &
+WORKER_PID=$!
+expect_exit_1 "$VAX780" drain --socket tcp:127.0.0.1:17781 \
+    --out "$CKPT_DIR/resume-remote.jsonl"
+expect_exit_1 wait "$SERVE_PID"
+wait "$WORKER_PID"
+diff "$CKPT_DIR/resume-offline.jsonl" "$CKPT_DIR/resume-remote.jsonl"
+grep -q '"attempts":1,"message":"attempt 1/1: workload fault: ' \
+    "$CKPT_DIR/resume-remote.jsonl"
 
 # Self-characterization gate: the full probe campaign — every opcode x
 # addressing-mode pair the five profiles execute, plus the per-mode

@@ -19,35 +19,30 @@ use vax_workloads::WorkloadKind;
 /// (the [`RetryPolicy::default`] attempt bound).
 pub const MAX_JOB_ATTEMPTS: u32 = 2;
 
-/// How a job queue retries a failing job: at most `max_attempts`
-/// tries, sleeping `attempt * backoff` between them. The schedule is
-/// deterministic — a fixed linear ramp, not a randomized one — so
-/// reruns of the same campaign behave identically. The `vax-serve`
-/// worker pool applies it.
+/// How many attempts a job queue gives a failing job before it settles
+/// the job as failed. The `vax-serve` server applies it: a failed
+/// attempt goes back to the queue, behind the jobs already waiting,
+/// until the job's attempts in one server run reach `max_attempts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per job (first try included); at least 1.
     pub max_attempts: u32,
-    /// Base backoff; attempt `k` sleeps `k * backoff` before retrying.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: MAX_JOB_ATTEMPTS,
-            backoff: Duration::from_millis(10),
         }
     }
 }
 
 impl RetryPolicy {
-    /// Policy from CLI-style knobs: `retries` extra attempts after the
-    /// first, with the given base backoff in milliseconds.
-    pub fn from_retries(retries: u32, backoff_ms: u64) -> RetryPolicy {
+    /// Policy from the CLI's `--retry`: `retries` extra attempts after
+    /// the first.
+    pub fn from_retries(retries: u32) -> RetryPolicy {
         RetryPolicy {
-            max_attempts: retries.saturating_add(1).max(1),
-            backoff: Duration::from_millis(backoff_ms),
+            max_attempts: retries.saturating_add(1),
         }
     }
 }

@@ -21,17 +21,6 @@ impl Histogram {
         }
     }
 
-    /// From raw planes (testing / deserialization paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planes are not full-size.
-    pub fn from_planes(issue: Vec<u64>, stall: Vec<u64>) -> Histogram {
-        assert_eq!(issue.len(), MicroAddr::SPACE);
-        assert_eq!(stall.len(), MicroAddr::SPACE);
-        Histogram { issue, stall }
-    }
-
     /// Non-stalled execution count at `addr`.
     #[inline]
     pub fn issue(&self, addr: MicroAddr) -> u64 {

@@ -287,12 +287,6 @@ impl Analysis {
             .sum()
     }
 
-    /// Executions of the branch-displacement target-calculation cycle
-    /// (taken displacement branches).
-    pub fn bdisp_computed(&self) -> u64 {
-        self.bdisp_count
-    }
-
     /// TB-miss service entries.
     pub fn tb_miss_entries(&self) -> u64 {
         self.tb_miss_entries

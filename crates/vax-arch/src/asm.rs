@@ -44,8 +44,6 @@ enum FixupKind {
     BranchWord,
     /// Case-table word entry; displacement is relative to the table base VA.
     CaseWord { table_base: u32 },
-    /// 32-bit absolute address of a label (data or `@#addr`).
-    AbsoluteLong,
     /// Long PC-relative displacement; base is the VA after the field.
     PcRelLong,
 }
@@ -130,18 +128,6 @@ impl Assembler {
     /// Emit a little-endian longword.
     pub fn long(&mut self, l: u32) {
         self.bytes.extend_from_slice(&l.to_le_bytes());
-    }
-
-    /// Emit the absolute address of `label` as a longword (resolved at
-    /// finish time).
-    pub fn long_label(&mut self, label: Label) {
-        self.fixups.push(Fixup {
-            offset: self.bytes.len(),
-            label,
-            kind: FixupKind::AbsoluteLong,
-            mnemonic: ".long",
-        });
-        self.long(0);
     }
 
     /// Pad with `NOP` opcodes to the next multiple of `align` bytes
@@ -426,9 +412,6 @@ impl Assembler {
                             })?;
                     bytes[fixup.offset..fixup.offset + 2]
                         .copy_from_slice(&(disp16 as u16).to_le_bytes());
-                }
-                FixupKind::AbsoluteLong => {
-                    bytes[fixup.offset..fixup.offset + 4].copy_from_slice(&target.to_le_bytes());
                 }
                 FixupKind::PcRelLong => {
                     let next = field_va + 4;

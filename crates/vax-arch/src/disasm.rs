@@ -6,7 +6,7 @@
 //! for autoincrement/autodecrement, `disp(Rn)` for displacements and
 //! `base[Rx]` for index mode.
 
-use crate::{AddrMode, ArchError, ByteSource, DecodedInst, DecodedSpec, Decoder};
+use crate::{AddrMode, ArchError, DecodedInst, DecodedSpec, Decoder};
 use std::fmt::Write as _;
 
 /// Render one decoded specifier.
@@ -80,13 +80,6 @@ pub fn disassemble(bytes: &[u8], base: u32) -> Vec<(u32, u32, String)> {
         }
     }
     out
-}
-
-/// A [`ByteSource`] wrapper that disassembles while decoding (streaming
-/// use; most callers want [`disassemble`]).
-pub fn decode_one<S: ByteSource>(src: &mut S, pc: u32) -> Result<String, ArchError> {
-    let inst = Decoder::decode(src)?;
-    Ok(format_inst(&inst, pc))
 }
 
 #[cfg(test)]

@@ -219,11 +219,6 @@ impl Cpu {
         self.scbb = pa;
     }
 
-    /// Set the PCB base (physical); see [`Cpu::set_scbb`].
-    pub fn set_pcbb(&mut self, pa: u32) {
-        self.pcbb = pa;
-    }
-
     /// Point the SCB vector at byte `offset` (see [`scb`]) at the handler
     /// `va`. Normally kernel boot code writes the SCB directly; exposed
     /// for machine setup (e.g. installing a `CHMK` service routine).

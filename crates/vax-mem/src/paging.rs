@@ -313,11 +313,6 @@ impl MapBuilder {
             slr: self.slr,
         }
     }
-
-    /// Frames allocated so far (diagnostics).
-    pub fn frames_used(&self) -> u32 {
-        self.next_frame
-    }
 }
 
 /// Copy `data` into virtual memory at `va` via software walk: one walk

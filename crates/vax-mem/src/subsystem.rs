@@ -84,13 +84,6 @@ pub struct TbFill {
     pub pte_read: ReadOutcome,
 }
 
-impl TbFill {
-    /// Total read-stall cycles incurred filling this entry.
-    pub fn total_stall(&self) -> u32 {
-        self.pte_read.stall + self.system_fill.map_or(0, |r| r.stall)
-    }
-}
-
 /// A memory-management fault delivered to the operating system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemFault {
@@ -499,17 +492,6 @@ impl MemorySubsystem {
     /// the transfer wait it out.
     pub fn inject_dma(&mut self, now: u64, duration: u64) {
         self.sbi.acquire(now, duration);
-    }
-
-    /// Reset the dynamic state (cache, TB, bus, counters) without touching
-    /// memory contents — a measurement boundary.
-    pub fn reset_dynamic_state(&mut self) {
-        self.cache.invalidate_all();
-        self.tb.flush_all();
-        self.sbi.reset();
-        self.wbuf.clear();
-        self.counters.clear();
-        self.last_fill_reads = (None, None);
     }
 
     // ----- fault injection -------------------------------------------------

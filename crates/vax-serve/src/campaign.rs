@@ -114,7 +114,7 @@ pub fn run_campaign(
         workers: workers
             .unwrap_or_else(|| default_workers(unsettled))
             .clamp(1, unsettled.max(1)),
-        retry: RetryPolicy::from_retries(0, 0),
+        retry: RetryPolicy::from_retries(0),
         drain_on_start: true,
         ..ServeConfig::default()
     };

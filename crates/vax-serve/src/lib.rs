@@ -20,8 +20,10 @@
 //!   `vax-job-result v1` blob remote workers send back;
 //! - [`wire`] — the line protocol (Unix socket or TCP) and client;
 //! - [`server`] — the worker pool with bounded-capacity backpressure,
-//!   per-client quotas, bounded retry with deterministic backoff,
-//!   `drain` streaming, and remote `claim` workers over TCP;
+//!   per-client quotas, `drain` streaming, and remote `claim` workers
+//!   over TCP; local and remote attempts share one claim/settle engine,
+//!   and a failed attempt re-enters the queue until the retry budget is
+//!   spent;
 //! - [`campaign`] — the repository's one campaign engine: enqueue a
 //!   list of specs, drain the journal offline, read the measurements
 //!   back in spec order. `vax780 run` and `vax780 sweep` run through it,

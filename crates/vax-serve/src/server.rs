@@ -1,17 +1,20 @@
 //! The campaign server: a worker pool over the journal-backed queue.
 //!
 //! One [`Shared`] state — journal, in-memory queue, running set —
-//! behind a mutex/condvar pair. Worker threads claim job ids, append
-//! `start`/`complete`/`fail` transitions (each flushed before the
-//! in-memory state advances), and run attempts outside the lock.
-//! Connection handlers mutate the same state: `enqueue` applies
-//! backpressure against a fixed capacity of unsettled jobs (plus an
-//! optional per-client quota), `claim` hands a job to a remote worker
-//! and records its returned `vax-job-result v1` blob, and `drain`
-//! streams every result in id order as it settles and then stops the
-//! server. Because every transition is journaled first, a `kill -9`
-//! at any instant loses nothing: the next `serve` replays the journal
-//! and re-runs exactly the unsettled jobs.
+//! behind a mutex/condvar pair. Every attempt, on a local worker thread
+//! or on a remote worker behind a `claim` request, goes through one
+//! engine: [`Shared::claim`] appends its `start` record, the attempt
+//! runs outside the lock, and [`Shared::settle`] appends its `complete`
+//! or `fail` record or puts a retryable failure back on the queue (each
+//! record flushed before the in-memory state advances). Connection
+//! handlers mutate the same state: `enqueue` applies backpressure
+//! against a fixed capacity of unsettled jobs (plus an optional
+//! per-client quota), `claim` hands a job to a remote worker and
+//! settles what it sends back, and `drain` streams every result in id
+//! order as it settles and then stops the server. Because every
+//! transition is journaled first, a `kill -9` at any instant loses
+//! nothing: the next `serve` replays the journal and re-runs exactly
+//! the unsettled jobs.
 //!
 //! Results are never held in memory: `results`/`drain` stream each
 //! line straight from the journal's record spans, and every
@@ -28,7 +31,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use vax780_core::{CampaignMetrics, RetryPolicy};
+use vax780_core::{CampaignMetrics, MeasuredWorkload, RetryPolicy};
 use vax_trace::SelfMetrics;
 
 /// Server parameters.
@@ -128,7 +131,9 @@ pub struct ServerReport {
 
 struct State {
     journal: Journal,
-    queue: VecDeque<JobId>,
+    /// Jobs waiting for an attempt, each with the attempts on it that
+    /// ended in this server's run.
+    queue: VecDeque<(JobId, u32)>,
     running: BTreeSet<JobId>,
     draining: bool,
     /// `drain` replies still being written. The request that started
@@ -158,6 +163,15 @@ struct Shared {
     started: Instant,
 }
 
+/// A job held by one attempt, from [`Shared::claim`] to
+/// [`Shared::settle`].
+struct Claim {
+    id: JobId,
+    spec: JobSpec,
+    /// Attempts on the job that ended earlier in this server's run.
+    ended: u32,
+}
+
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
@@ -171,19 +185,67 @@ impl Shared {
         self.cv.notify_all();
     }
 
-    /// Pop the next queued job the journal still holds pending, with its
-    /// spec and the attempts it has already started. A queued id that is
-    /// no longer pending is dropped with a notification, as every change
-    /// that empties the queue or the running set must notify: the
-    /// supervisor waits without a timeout for a draining queue to settle.
-    fn pop_pending(&self, st: &mut State) -> Option<(JobId, JobSpec, u32)> {
-        while let Some(id) = st.queue.pop_front() {
-            if let Some((spec, starts)) = st.journal.pending_job(id) {
-                return Some((id, spec.clone(), starts));
+    /// Claim the next queued job the journal still holds pending: append
+    /// its `start` record and mark it running. `None` once the server
+    /// stops, or while nothing is queued. A queued id that is no longer
+    /// pending is dropped with a notification, as every change that
+    /// empties the queue or the running set must notify: the supervisor
+    /// waits without a timeout for a draining queue to settle. A `start`
+    /// that cannot be appended puts the job back at the front of the
+    /// queue and stops the server.
+    fn claim(&self, st: &mut State) -> Option<Claim> {
+        if st.shutdown {
+            return None;
+        }
+        while let Some((id, ended)) = st.queue.pop_front() {
+            let Some((spec, starts)) = st.journal.pending_job(id) else {
+                self.cv.notify_all();
+                continue;
+            };
+            let spec = spec.clone();
+            // The `start` record carries the journal's running number,
+            // attempts a killed server left open included.
+            if let Err(e) = st.journal.append_start(id, starts.saturating_add(1)) {
+                st.queue.push_front((id, ended));
+                self.fail_fatal(st, e.to_string());
+                return None;
             }
-            self.cv.notify_all();
+            st.running.insert(id);
+            return Some(Claim { id, spec, ended });
         }
         None
+    }
+
+    /// Settle one claimed attempt: a measurement appends `complete`; a
+    /// workload fault, or a failure that spends the retry budget,
+    /// appends `fail`; any other failure puts the job back on the queue,
+    /// behind the jobs already waiting. The budget and the `attempt
+    /// k/max` message count the attempts that ended in this run, so an
+    /// attempt a killed server left open does not count, and a resumed
+    /// job settles as an uninterrupted run would.
+    fn settle(&self, st: &mut State, claim: Claim, outcome: Result<MeasuredWorkload, ExecError>) {
+        let Claim { id, ended, .. } = claim;
+        st.running.remove(&id);
+        let attempt = ended + 1;
+        let max_attempts = self.retry.max_attempts.max(1);
+        let appended = match outcome {
+            Ok(m) => st.journal.append_complete(id, &m),
+            // A workload fault would repeat on every attempt of the same
+            // deterministic simulation: settle it now.
+            Err(e) if attempt >= max_attempts || matches!(e, ExecError::Fault(_)) => {
+                let message = format!("attempt {attempt}/{max_attempts}: {e}");
+                st.journal.append_fail(id, attempt, &message)
+            }
+            Err(_) => {
+                st.queue.push_back((id, attempt));
+                Ok(())
+            }
+        };
+        match appended {
+            Ok(()) => self.maybe_compact(st),
+            Err(e) => self.fail_fatal(st, e.to_string()),
+        }
+        self.cv.notify_all();
     }
 
     /// Compact the journal once enough jobs have settled among its live
@@ -220,7 +282,7 @@ pub fn run_server(
             config.journal.display()
         );
     }
-    let queue: VecDeque<JobId> = journal.pending().into();
+    let queue = journal.pending().into_iter().map(|id| (id, 0)).collect();
     // Zero local workers is meaningful only when remote workers can
     // claim over a socket; an offline drain with no workers would hang.
     let workers = if config.workers == 0 && endpoint.is_some() && !config.drain_on_start {
@@ -332,97 +394,32 @@ fn await_stop(shared: &Shared, mut st: MutexGuard<'_, State>) {
     }
 }
 
+/// A local worker: claim a job, run the attempt outside the lock, and
+/// settle it, until the server stops.
 fn worker_loop(shared: &Shared, executor: &dyn Executor, index: usize) {
     let mut metrics = SelfMetrics::new();
     let mut cum_cycles = 0u64;
     let mut cum_instructions = 0u64;
+    let mut st = shared.lock();
     loop {
-        // Claim the next job id, or exit on shutdown.
-        let (id, spec, prior_starts) = {
-            let mut st = shared.lock();
-            loop {
-                if st.shutdown {
-                    st.worker_metrics[index] = metrics;
-                    return;
-                }
-                if let Some((id, spec, starts)) = shared.pop_pending(&mut st) {
-                    st.running.insert(id);
-                    break (id, spec, starts);
-                }
-                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        let Some(claim) = shared.claim(&mut st) else {
+            if st.shutdown {
+                return;
             }
+            st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            continue;
         };
-
-        let max_attempts = shared.retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            {
-                let mut st = shared.lock();
-                if let Err(e) = st.journal.append_start(id, prior_starts + attempt) {
-                    shared.fail_fatal(&mut st, e.to_string());
-                    st.worker_metrics[index] = metrics;
-                    return;
-                }
-            }
-            metrics.begin_phase(&format!("job-{id}"), cum_cycles, cum_instructions);
-            let outcome = executor.run(&spec, shared.timeout);
-            match outcome {
-                Ok(m) => {
-                    cum_cycles += m.cycles;
-                    cum_instructions += m.instructions;
-                    metrics.end_phase(cum_cycles, cum_instructions);
-                    let mut st = shared.lock();
-                    if let Err(e) = st.journal.append_complete(id, &m) {
-                        shared.fail_fatal(&mut st, e.to_string());
-                        st.worker_metrics[index] = metrics;
-                        return;
-                    }
-                    st.running.remove(&id);
-                    st.worker_metrics[index] = metrics.clone();
-                    shared.maybe_compact(&mut st);
-                    shared.cv.notify_all();
-                    break;
-                }
-                Err(e) => {
-                    metrics.end_phase(cum_cycles, cum_instructions);
-                    // A workload fault would repeat on every attempt of
-                    // the same deterministic simulation: settle it now.
-                    if attempt < max_attempts && !matches!(e, ExecError::Fault(_)) {
-                        // Shutdown may have arrived while the attempt
-                        // ran: abandon the claim instead of sleeping
-                        // through the backoff. No `fail` record is
-                        // written — the journal still holds the job
-                        // pending, so a restart re-runs it.
-                        {
-                            let mut st = shared.lock();
-                            if st.shutdown {
-                                st.running.remove(&id);
-                                st.worker_metrics[index] = metrics;
-                                shared.cv.notify_all();
-                                return;
-                            }
-                        }
-                        // Deterministic linear backoff: a fixed
-                        // schedule, so reruns behave identically.
-                        std::thread::sleep(shared.retry.backoff * attempt);
-                        continue;
-                    }
-                    let message = format!("attempt {attempt}/{max_attempts}: {e}");
-                    let mut st = shared.lock();
-                    if let Err(e) = st.journal.append_fail(id, attempt, &message) {
-                        shared.fail_fatal(&mut st, e.to_string());
-                        st.worker_metrics[index] = metrics;
-                        return;
-                    }
-                    st.running.remove(&id);
-                    st.worker_metrics[index] = metrics.clone();
-                    shared.maybe_compact(&mut st);
-                    shared.cv.notify_all();
-                    break;
-                }
-            }
+        drop(st);
+        metrics.begin_phase(&format!("job-{}", claim.id), cum_cycles, cum_instructions);
+        let outcome = executor.run(&claim.spec, shared.timeout);
+        if let Ok(m) = &outcome {
+            cum_cycles += m.cycles;
+            cum_instructions += m.instructions;
         }
+        metrics.end_phase(cum_cycles, cum_instructions);
+        st = shared.lock();
+        st.worker_metrics[index] = metrics.clone();
+        shared.settle(&mut st, claim, outcome);
     }
 }
 
@@ -567,7 +564,7 @@ fn handle_enqueue(shared: &Shared, request: &str) -> String {
     }
     match st.journal.append_enqueue_for(client, &spec) {
         Ok(id) => {
-            st.queue.push_back(id);
+            st.queue.push_back((id, 0));
             shared.cv.notify_all();
             format!("ok {id}")
         }
@@ -690,147 +687,91 @@ fn stream_as_settled(shared: &Shared, writer: &mut dyn Write, last: JobId) -> st
     writer.flush()
 }
 
-/// Hand one job to a remote worker and record what it sends back.
+/// Hand one job to a remote worker and settle what it sends back.
 ///
 /// The connection stays open for the duration of the attempt: the
 /// server replies `job <id> <spec>` and then reads `result <id>`
 /// followed by a `vax-job-result v1` blob, `fail <id> <message>`, or
-/// `fault <id> <message>`. A `fault` settles the job at once, as a
-/// local worker's workload fault does. A `fail` line, a dropped
-/// connection, a read timeout (the per-attempt deadline applied to the
-/// socket), or an unparseable blob all count as one failed, *retryable*
-/// attempt — the job returns to the queue until the retry policy
-/// exhausts, exactly as if a local worker's attempt had failed.
+/// `fault <id> <message>`, and settles it as a local worker's attempt
+/// ([`Shared::settle`]). A dropped connection, a read timeout (the
+/// per-attempt deadline applied to the socket) or an unparseable reply
+/// is a failed attempt, like a `fail` line.
 fn handle_claim(
     shared: &Shared,
     reader: &mut BufReader<Conn>,
     writer: &mut dyn Write,
 ) -> std::io::Result<()> {
-    let max_attempts = shared.retry.max_attempts.max(1);
-    let (id, spec, attempt) = {
+    let claim = {
         let mut st = shared.lock();
-        if st.shutdown {
-            return writeln!(writer, "gone");
-        }
-        let Some((id, spec, starts)) = shared.pop_pending(&mut st) else {
+        match shared.claim(&mut st) {
+            Some(claim) => claim,
             // `drain` only finishes once running jobs settle, so tell a
             // draining server's workers to leave rather than idle.
-            return if st.draining {
-                writeln!(writer, "gone")
-            } else {
-                writeln!(writer, "idle")
-            };
-        };
-        let attempt = starts + 1;
-        if let Err(e) = st.journal.append_start(id, attempt) {
-            st.queue.push_front(id);
-            shared.fail_fatal(&mut st, e.to_string());
-            return writeln!(writer, "gone");
+            None if st.shutdown || st.draining => return writeln!(writer, "gone"),
+            None => return writeln!(writer, "idle"),
         }
-        st.running.insert(id);
-        (id, spec, attempt)
     };
-    writeln!(writer, "job {id} {}", spec.render())?;
-    writer.flush()?;
-
     // The attempt runs on the worker's machine; bound how long we hold
     // the claim by applying the per-attempt deadline to the socket.
     let _ = reader.get_ref().set_read_timeout(shared.timeout);
-    let outcome = read_claim_outcome(reader, id, &spec);
+    let outcome = writeln!(writer, "job {} {}", claim.id, claim.spec.render())
+        .and_then(|()| writer.flush())
+        .map_err(|e| ExecError::Failed(format!("worker connection lost: {e}")))
+        .and_then(|()| read_claim_outcome(reader, claim.id, &claim.spec));
     let mut st = shared.lock();
-    let (detail, retryable) = match outcome {
-        Ok(ClaimOutcome::Done(m)) => {
-            if let Err(e) = st.journal.append_complete(id, &m) {
-                shared.fail_fatal(&mut st, e.to_string());
-                return Ok(());
-            }
-            st.running.remove(&id);
-            shared.maybe_compact(&mut st);
-            shared.cv.notify_all();
-            drop(st);
-            return writeln!(writer, "ok");
-        }
-        Ok(ClaimOutcome::Failed(msg)) => (msg, true),
-        // A workload fault would repeat on every attempt of the same
-        // deterministic simulation: settle it now, as a local worker
-        // does.
-        Ok(ClaimOutcome::Fault(msg)) => (msg, false),
-        Err(e) => (format!("worker connection lost: {e}"), true),
-    };
-    let detail = if detail.is_empty() {
-        "worker reported failure".to_string()
-    } else {
-        detail
-    };
-    st.running.remove(&id);
-    if attempt >= max_attempts || !retryable {
-        let message = format!("attempt {attempt}/{max_attempts}: {detail}");
-        if let Err(e) = st.journal.append_fail(id, attempt, &message) {
-            shared.fail_fatal(&mut st, e.to_string());
-            return Ok(());
-        }
-        shared.maybe_compact(&mut st);
-    } else {
-        // Retryable: back onto the queue for any worker, local or
-        // remote.
-        st.queue.push_back(id);
+    shared.settle(&mut st, claim, outcome);
+    // A journal append that failed stopped the server: nothing was
+    // recorded to acknowledge.
+    if st.fatal.is_some() {
+        return Ok(());
     }
-    shared.cv.notify_all();
     drop(st);
     writeln!(writer, "ok")
 }
 
-/// What a remote worker sent back for one claim.
-enum ClaimOutcome {
-    /// A parsed `vax-job-result v1` blob.
-    Done(vax780_core::MeasuredWorkload),
-    /// A `fail <id> <message>` report: a retryable attempt.
-    Failed(String),
-    /// A `fault <id> <message>` report: the workload faulted, so the
-    /// job settles without a retry.
-    Fault(String),
-}
-
-/// Read the worker's half of a claim; `Err` means connection
-/// loss/timeout/garbage (a retryable attempt, like a local failure).
+/// Read the worker's half of a claim: its measurement, its `fail`
+/// report as [`ExecError::Failed`], or its `fault` report as
+/// [`ExecError::Fault`]. A lost connection, a timeout or garbage is a
+/// failed attempt too.
 fn read_claim_outcome(
     reader: &mut BufReader<Conn>,
     id: JobId,
     spec: &JobSpec,
-) -> std::io::Result<ClaimOutcome> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(bad("connection closed before a result".to_string()));
-    }
-    let head = line.trim();
+) -> Result<MeasuredWorkload, ExecError> {
+    let lost = |msg: String| ExecError::Failed(format!("worker connection lost: {msg}"));
+    let mut read_line = |line: &mut String, closed: &str| match reader.read_line(line) {
+        Ok(0) => Err(lost(format!("connection closed {closed}"))),
+        Ok(_) => Ok(()),
+        Err(e) => Err(lost(e.to_string())),
+    };
+    let mut head = String::new();
+    read_line(&mut head, "before a result")?;
+    let head = head.trim();
     // `<verb> <id> <message>`: the message of a `fail` or `fault` line.
     let report = |verb: &str| {
         head.strip_prefix(&format!("{verb} {id}"))
             .filter(|r| r.is_empty() || r.starts_with(' '))
-            .map(|r| r.trim().to_string())
+            .map(|r| match r.trim() {
+                "" => "worker reported failure".to_string(),
+                message => message.to_string(),
+            })
     };
     if head == format!("result {id}") {
         let mut blob = String::new();
         loop {
-            let mut l = String::new();
-            if reader.read_line(&mut l)? == 0 {
-                return Err(bad("connection closed mid-blob".to_string()));
-            }
-            let done = l.trim_end() == "end";
-            blob.push_str(&l);
-            if done {
+            let start = blob.len();
+            read_line(&mut blob, "mid-blob")?;
+            if blob[start..].trim_end() == "end" {
                 break;
             }
         }
-        let m = parse_result_blob(&blob, spec.workload.name()).map_err(bad)?;
-        Ok(ClaimOutcome::Done(m))
-    } else if let Some(msg) = report("fail") {
-        Ok(ClaimOutcome::Failed(msg))
-    } else if let Some(msg) = report("fault") {
-        Ok(ClaimOutcome::Fault(msg))
+        parse_result_blob(&blob, spec.workload.name()).map_err(lost)
+    } else if let Some(message) = report("fail") {
+        Err(ExecError::Failed(message))
+    } else if let Some(message) = report("fault") {
+        Err(ExecError::Fault(message))
     } else {
-        Err(bad(format!("unexpected worker reply `{head}`")))
+        Err(lost(format!("unexpected worker reply `{head}`")))
     }
 }
 
@@ -840,7 +781,6 @@ mod tests {
     use crate::queue::InProcessExecutor;
     use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use vax780_core::MeasuredWorkload;
     use vax_workloads::WorkloadKind;
 
     fn tempdir(name: &str) -> PathBuf {
@@ -930,7 +870,7 @@ mod tests {
         let config = ServeConfig {
             journal: journal_path.clone(),
             workers: 2,
-            retry: RetryPolicy::from_retries(0, 0),
+            retry: RetryPolicy::from_retries(0),
             drain_on_start: true,
             ..ServeConfig::default()
         };
@@ -974,7 +914,7 @@ mod tests {
         let config = ServeConfig {
             journal: journal_path,
             workers: 2,
-            retry: RetryPolicy::from_retries(0, 0),
+            retry: RetryPolicy::from_retries(0),
             drain_on_start: true,
             ..ServeConfig::default()
         };
@@ -1010,7 +950,7 @@ mod tests {
             let config = ServeConfig {
                 journal: journal_path.clone(),
                 workers: 3,
-                retry: RetryPolicy::from_retries(retries, 0),
+                retry: RetryPolicy::from_retries(retries),
                 drain_on_start: true,
                 ..ServeConfig::default()
             };
@@ -1038,6 +978,43 @@ mod tests {
         }
     }
 
+    /// Start a listening server on `journal` with no local workers, so
+    /// every attempt comes from a `claim`, under `retry` retries.
+    fn spawn_remote_only_server(
+        journal: &Path,
+        endpoint: &Endpoint,
+        retries: u32,
+    ) -> std::thread::JoinHandle<Result<ServerReport, ServeError>> {
+        let config = ServeConfig {
+            journal: journal.to_path_buf(),
+            workers: 0,
+            retry: RetryPolicy::from_retries(retries),
+            ..ServeConfig::default()
+        };
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor))
+        })
+    }
+
+    /// One claim from a fake remote worker: the server's reply, and the
+    /// id it handed out, answered with `<verb> <id> <message>`.
+    fn fake_claim(endpoint: &Endpoint, verb: &str, message: &str) -> String {
+        let conn = endpoint.connect(Duration::from_secs(5)).unwrap();
+        let (mut reader, mut writer) = conn.split().unwrap();
+        writer.write_all(b"claim\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        if let Some(rest) = reply.strip_prefix("job ") {
+            let id = rest.split(' ').next().unwrap();
+            writeln!(writer, "{verb} {id} {message}").unwrap();
+            let mut ack = String::new();
+            reader.read_line(&mut ack).unwrap();
+            assert_eq!(ack, "ok\n");
+        }
+        reply
+    }
+
     /// A remote worker that answers its claim with `fault` settles the
     /// job at once under `retry 2`: one `fail` record with the local
     /// fault's `attempt k/max:` message and `"attempts":1`, and the job
@@ -1053,36 +1030,9 @@ mod tests {
                     .unwrap();
             }
         }
-        let config = ServeConfig {
-            journal: journal_path.clone(),
-            workers: 0,
-            retry: RetryPolicy::from_retries(2, 0),
-            ..ServeConfig::default()
-        };
         let endpoint = Endpoint::Unix(dir.join("s.sock"));
-        let server = {
-            let endpoint = endpoint.clone();
-            std::thread::spawn(move || {
-                run_server(&config, Some(&endpoint), Arc::new(InProcessExecutor))
-            })
-        };
-        // One claim from a fake worker: the server's reply, and the id
-        // it handed out, answered with `<verb> <id> <message>`.
-        let claim = |verb: &str, message: &str| -> String {
-            let conn = endpoint.connect(Duration::from_secs(5)).unwrap();
-            let (mut reader, mut writer) = conn.split().unwrap();
-            writer.write_all(b"claim\n").unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            if let Some(rest) = reply.strip_prefix("job ") {
-                let id = rest.split(' ').next().unwrap();
-                writeln!(writer, "{verb} {id} {message}").unwrap();
-                let mut ack = String::new();
-                reader.read_line(&mut ack).unwrap();
-                assert_eq!(ack, "ok\n");
-            }
-            reply
-        };
+        let server = spawn_remote_only_server(&journal_path, &endpoint, 2);
+        let claim = |verb: &str, message: &str| fake_claim(&endpoint, verb, message);
         assert!(claim("fault", "workload fault: synthetic").starts_with("job 1 "));
         for _ in 0..3 {
             assert!(claim("fail", "worker trouble").starts_with("job 2 "));
@@ -1109,6 +1059,137 @@ mod tests {
             fail.contains("\"attempts\":3,\"message\":\"attempt 3/3: worker trouble\""),
             "{fail}"
         );
+    }
+
+    /// A job a killed server left mid-attempt (a dangling `start`)
+    /// settles on a remote worker as an offline drain of the same
+    /// journal settles it: the open attempt does not count against the
+    /// budget, so under `retry 0` a `fault` and a `fail` each read
+    /// `"attempts":1` and `attempt 1/1`, while the `start` record keeps
+    /// the journal's running number.
+    #[test]
+    fn a_resumed_remote_attempt_settles_as_an_offline_drain_does() {
+        let spec = quick_spec(WorkloadKind::SciEng, 1);
+        for (verb, message, executor) in [
+            (
+                "fault",
+                "synthetic fault",
+                CountingExecutor {
+                    runs: AtomicUsize::new(0),
+                    fail_seeds: Vec::new(),
+                    fault_seeds: vec![1],
+                },
+            ),
+            (
+                "fail",
+                "synthetic failure",
+                CountingExecutor {
+                    runs: AtomicUsize::new(0),
+                    fail_seeds: vec![1],
+                    fault_seeds: Vec::new(),
+                },
+            ),
+        ] {
+            let dir = tempdir(&format!("vax-serve-resumed-remote-{verb}"));
+            let (offline, remote) = (dir.join("offline.journal"), dir.join("remote.journal"));
+            {
+                let mut j = Journal::open(&offline).unwrap();
+                let id = j.append_enqueue(&spec).unwrap();
+                j.append_start(id, 1).unwrap();
+            }
+            std::fs::copy(&offline, &remote).unwrap();
+
+            let config = ServeConfig {
+                journal: offline.clone(),
+                workers: 1,
+                retry: RetryPolicy::from_retries(0),
+                drain_on_start: true,
+                ..ServeConfig::default()
+            };
+            run_server(&config, None, Arc::new(executor)).unwrap();
+
+            let endpoint = Endpoint::Unix(dir.join("s.sock"));
+            let server = spawn_remote_only_server(&remote, &endpoint, 0);
+            assert!(fake_claim(&endpoint, verb, message).starts_with("job 1 "));
+            assert_eq!(fake_claim(&endpoint, verb, "unused"), "idle\n");
+            let client = crate::wire::Client::new(endpoint, Duration::from_secs(5));
+            assert_eq!(client.request_line("shutdown").unwrap(), "ok");
+            server.join().unwrap().unwrap();
+
+            let line = results_of(&remote);
+            assert_eq!(line, results_of(&offline), "{verb}");
+            assert!(
+                line[0].contains(&format!(
+                    "\"attempts\":1,\"message\":\"attempt 1/1: {message}\""
+                )),
+                "{verb}: {line:?}"
+            );
+            let text = std::fs::read_to_string(&remote).unwrap();
+            assert!(text.contains("start 1 attempt 2\n"), "{verb}: {text}");
+        }
+    }
+
+    /// Runs each job through [`InProcessExecutor`], recording the order
+    /// of the attempts, and fails the first attempt of the job seeded
+    /// with `flaky_seed`.
+    struct FlakyExecutor {
+        attempts: Mutex<Vec<u64>>,
+        flaky_seed: u64,
+    }
+
+    impl Executor for FlakyExecutor {
+        fn run(
+            &self,
+            spec: &JobSpec,
+            _timeout: Option<Duration>,
+        ) -> Result<MeasuredWorkload, ExecError> {
+            let seed = spec.seed.unwrap();
+            let mut attempts = self.attempts.lock().unwrap();
+            let first = !attempts.contains(&seed);
+            attempts.push(seed);
+            drop(attempts);
+            if first && seed == self.flaky_seed {
+                return Err(ExecError::Failed("transient failure".to_string()));
+            }
+            InProcessExecutor.run(spec, None)
+        }
+    }
+
+    /// A failed attempt goes back to the queue behind the jobs already
+    /// waiting, on a local worker as on a remote one: with one worker
+    /// under `retry 1`, the sibling queued behind a failing job settles
+    /// before the job's second attempt starts.
+    #[test]
+    fn a_local_retry_waits_behind_the_queued_jobs() {
+        let dir = tempdir("vax-serve-local-requeue");
+        let journal_path = dir.join("queue.journal");
+        {
+            let mut j = Journal::open(&journal_path).unwrap();
+            for seed in 1..=2 {
+                j.append_enqueue(&quick_spec(WorkloadKind::Educational, seed))
+                    .unwrap();
+            }
+        }
+        let executor = Arc::new(FlakyExecutor {
+            attempts: Mutex::new(Vec::new()),
+            flaky_seed: 1,
+        });
+        let config = ServeConfig {
+            journal: journal_path.clone(),
+            workers: 1,
+            retry: RetryPolicy::from_retries(1),
+            drain_on_start: true,
+            ..ServeConfig::default()
+        };
+        let report = run_server(&config, None, executor.clone()).unwrap();
+        assert_eq!((report.done, report.failed), (2, 0));
+        assert_eq!(*executor.attempts.lock().unwrap(), [1, 2, 1]);
+        let text = std::fs::read_to_string(&journal_path).unwrap();
+        let at = |record: &str| {
+            text.find(record)
+                .unwrap_or_else(|| panic!("no `{record}` in {text}"))
+        };
+        assert!(at("\ncomplete 2 ") < at("\nstart 1 attempt 2\n"), "{text}");
     }
 
     #[test]
@@ -1186,9 +1267,9 @@ mod tests {
             j.append_enqueue(&quick_spec(WorkloadKind::SciEng, 1))
                 .unwrap();
         }
-        // Always fails, generous retry budget with real backoff: the
-        // worker would sit in backoff sleeps for ~100s if shutdown did
-        // not cut the retry loop short.
+        // Always fails, with a generous retry budget: without the
+        // shutdown the worker would re-queue and re-run the job for
+        // about 50 s (1000 attempts of 50 ms) before it settled.
         struct FailingExecutor(AtomicUsize);
         impl Executor for FailingExecutor {
             fn run(
@@ -1205,7 +1286,7 @@ mod tests {
         let config = ServeConfig {
             journal: journal_path.clone(),
             workers: 1,
-            retry: RetryPolicy::from_retries(1000, 100),
+            retry: RetryPolicy::from_retries(1000),
             drain_on_start: false,
             ..ServeConfig::default()
         };
@@ -1276,7 +1357,7 @@ mod tests {
         {
             let mut st = shared.lock();
             st.draining = true;
-            st.queue.push_back(1);
+            st.queue.push_back((1, 0));
             st.worker_metrics = vec![SelfMetrics::new()];
         }
         // The supervisor holds the lock from before it signals `ready`
@@ -1321,6 +1402,30 @@ mod tests {
             reader.read_line(&mut reply).unwrap();
             assert_eq!(reply, "gone\n");
         });
+    }
+
+    /// A remote worker gone before its job line reaches it costs the job
+    /// one attempt: the claim settles as a lost connection and the job
+    /// goes back on the queue, instead of staying in the running set,
+    /// where a draining server would wait for it forever.
+    #[test]
+    fn a_claim_that_cannot_send_its_job_requeues_it() {
+        let dir = tempdir("vax-serve-claim-unsent");
+        let journal_path = dir.join("queue.journal");
+        Journal::open(&journal_path)
+            .unwrap()
+            .append_enqueue(&quick_spec(WorkloadKind::SciEng, 1))
+            .unwrap();
+        let shared = test_shared(Journal::open(&journal_path).unwrap(), 10, None);
+        shared.lock().queue.push_back((1, 0));
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        drop(theirs);
+        let mut reader = BufReader::new(Conn::Unix(ours.try_clone().unwrap()));
+        assert!(handle_claim(&shared, &mut reader, &mut Conn::Unix(ours)).is_err());
+        let st = shared.lock();
+        assert!(st.running.is_empty());
+        assert_eq!(st.queue, [(1, 1)]);
+        assert_eq!(st.journal.pending_job(1).unwrap().1, 1);
     }
 
     /// Start an idle listening server on `endpoint`; the handle returns
@@ -1411,7 +1516,7 @@ mod tests {
             journal: journal_path.clone(),
             workers: 2,
             compact_every: 2,
-            retry: RetryPolicy::from_retries(0, 0),
+            retry: RetryPolicy::from_retries(0),
             drain_on_start: true,
             ..ServeConfig::default()
         };
@@ -1438,7 +1543,7 @@ mod tests {
             journal: ref_path.clone(),
             compact_every: 0,
             workers: 1,
-            retry: RetryPolicy::from_retries(0, 0),
+            retry: RetryPolicy::from_retries(0),
             drain_on_start: true,
             ..ServeConfig::default()
         };
@@ -1505,7 +1610,7 @@ mod tests {
         );
         {
             let mut st = shared.lock();
-            st.queue.extend(43..=60);
+            st.queue.extend((43..=60).map(|id| (id, 0)));
             st.running.extend([41, 42]);
         }
         let mut expected =

@@ -241,7 +241,7 @@ fn ten_thousand_job_drain_streams_byte_identical_across_compaction() {
     let config = ServeConfig {
         journal: path.clone(),
         workers: 1,
-        retry: RetryPolicy::from_retries(0, 0),
+        retry: RetryPolicy::from_retries(0),
         drain_on_start: false,
         ..ServeConfig::default()
     };

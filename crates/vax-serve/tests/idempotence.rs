@@ -100,7 +100,7 @@ fn drain_config(journal: PathBuf, workers: usize) -> ServeConfig {
     ServeConfig {
         journal,
         workers,
-        retry: RetryPolicy::from_retries(0, 0),
+        retry: RetryPolicy::from_retries(0),
         drain_on_start: true,
         ..ServeConfig::default()
     }

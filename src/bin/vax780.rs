@@ -6,8 +6,7 @@
 //!            [--jobs N] [--serial] [--metrics] [--checkpoint FILE]
 //! vax780 serve --queue FILE --socket PATH|tcp:ADDR [--jobs N]
 //!              [--capacity N] [--client-quota N] [--compact-every N]
-//!              [--retry N] [--retry-backoff-ms MS]
-//!              [--timeout-secs S] [--metrics]
+//!              [--retry N] [--timeout-secs S] [--metrics]
 //! vax780 enqueue (--queue FILE | --socket PATH) [--client NAME] --spec LINE...
 //! vax780 status (--queue FILE | --socket PATH)
 //! vax780 drain (--queue FILE [--jobs N] ... | --socket PATH) [--out FILE]
@@ -137,7 +136,7 @@ const USAGE: &str =
      \x20        re-run the same command to resume a killed campaign)\n\
      serve   --queue FILE  --socket PATH|tcp:ADDR  --jobs N  --capacity N\n\
      \x20       --client-quota N  --compact-every N\n\
-     \x20       --retry N  --retry-backoff-ms MS  --timeout-secs S  --metrics\n\
+     \x20       --retry N  --timeout-secs S  --metrics\n\
      \x20       (--jobs 0 = no local workers; remote `vax780 worker` only)\n\
      enqueue (--queue FILE | --socket PATH)  --client NAME  --spec LINE (repeatable)\n\
      \x20       (spec: workload=NAME instructions=N warmup=N [seed=N] [tier=naive]\n\
@@ -145,8 +144,8 @@ const USAGE: &str =
      \x20        [tb-split=0] [write-buffer=N]\n\
      \x20        [faults=A+B fault-seed=N fault-count=N fault-window=N])\n\
      status  (--queue FILE | --socket PATH)\n\
-     drain   (--queue FILE  --jobs N  --retry N  --retry-backoff-ms MS\n\
-     \x20        --timeout-secs S | --socket PATH)  --out FILE\n\
+     drain   (--queue FILE  --jobs N  --retry N  --timeout-secs S\n\
+     \x20        | --socket PATH)  --out FILE\n\
      worker  --connect PATH|tcp:ADDR  --timeout-secs S\n\
      \x20       (claim jobs from a remote `serve` until it drains)\n\
      compact (--queue FILE | --socket PATH)\n\
@@ -207,7 +206,6 @@ const SERVE_SPEC: Spec = &[
     ("--client-quota", true),
     ("--compact-every", true),
     ("--retry", true),
-    ("--retry-backoff-ms", true),
     ("--timeout-secs", true),
     ("--metrics", false),
 ];
@@ -226,7 +224,6 @@ const DRAIN_SPEC: Spec = &[
     ("--jobs", true),
     ("--serial", false),
     ("--retry", true),
-    ("--retry-backoff-ms", true),
     ("--timeout-secs", true),
     ("--out", true),
 ];
@@ -393,38 +390,6 @@ fn jobs_arg(args: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
-/// Retry policy from `--retry`/`--retry-backoff-ms` (`None` = library
-/// default). `--retry N` means N retries *after* the first attempt.
-/// Non-numeric values are an error naming the flag.
-fn retry_arg(args: &[String]) -> Result<Option<RetryPolicy>, String> {
-    let retries = match opt(args, "--retry") {
-        None => None,
-        Some(s) => match s.parse::<u32>() {
-            Ok(n) => Some(n),
-            Err(_) => return Err(format!("--retry wants a non-negative integer, got '{s}'")),
-        },
-    };
-    let backoff_ms = match opt(args, "--retry-backoff-ms") {
-        None => None,
-        Some(s) => match s.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return Err(format!(
-                    "--retry-backoff-ms wants a non-negative integer of milliseconds, got '{s}'"
-                ))
-            }
-        },
-    };
-    if retries.is_none() && backoff_ms.is_none() {
-        return Ok(None);
-    }
-    let default = RetryPolicy::default();
-    Ok(Some(RetryPolicy::from_retries(
-        retries.unwrap_or(default.max_attempts.saturating_sub(1)),
-        backoff_ms.unwrap_or(default.backoff.as_millis() as u64),
-    )))
-}
-
 fn parse_kind(name: &str) -> Option<WorkloadKind> {
     WorkloadKind::ALL.into_iter().find(|k| k.name() == name)
 }
@@ -571,8 +536,10 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 fn pool_setup(args: &[String]) -> Result<vax_serve::ServeConfig, String> {
     use vax_serve::ServeConfig;
 
+    let default = ServeConfig::default();
     let jobs = pool_jobs_arg(args)?;
-    let retry = retry_arg(args)?;
+    // `--retry N` is N retries after the first attempt.
+    let retries = num_opt(args, "--retry", default.retry.max_attempts - 1)?;
     let capacity = match opt(args, "--capacity") {
         None => None,
         Some(s) => match s.parse::<usize>() {
@@ -603,14 +570,13 @@ fn pool_setup(args: &[String]) -> Result<vax_serve::ServeConfig, String> {
         },
     };
     let timeout = timeout_arg(args)?;
-    let default = ServeConfig::default();
     let config = ServeConfig {
         journal: opt(args, "--queue").unwrap_or("queue.journal").into(),
         workers: jobs.unwrap_or(default.workers),
         capacity: capacity.unwrap_or(default.capacity),
         client_quota,
         compact_every: compact_every.unwrap_or(default.compact_every),
-        retry: retry.unwrap_or(default.retry),
+        retry: RetryPolicy::from_retries(retries),
         timeout,
         drain_on_start: false,
     };
@@ -1152,15 +1118,91 @@ fn cmd_compact(args: &[String]) -> ExitCode {
     }
 }
 
-/// Run one workload with both instruments attached from boot — the µPC
-/// board and the event tracer tee'd off the same [`CycleSink`] feed —
-/// then export the trace and reconcile trace vs histogram vs hardware
-/// counters. Any disagreement is a nonzero exit: the instruments must
-/// tell one story.
-fn cmd_trace(args: &[String]) -> ExitCode {
-    use upc_monitor::{Command, HistogramBoard};
-    use vax_trace::{SelfMetrics, Tracer};
+/// A workload measured with both instruments attached from boot.
+struct Instrumented {
+    machine: vax_workloads::Machine,
+    tracer: vax_trace::Tracer,
+    /// Host time per phase.
+    metrics: vax_trace::SelfMetrics,
+    /// Trace vs histogram vs hardware counters over the whole run.
+    reconciliation: vax_analysis::reconcile::Reconciliation,
+}
 
+/// Measure one workload with both instruments attached from boot — the
+/// µPC board and the event tracer tee'd off the same [`CycleSink`] feed
+/// — through its warmup and measure phases (an empty phase is skipped),
+/// then reconcile trace vs histogram vs hardware counters. A fault
+/// `plan` is armed at the boundary between the phases, so its `@cycle`
+/// offsets count from the first measured cycle, exactly as
+/// `Experiment::fault_plan`. `cmd` names the subcommand in a build
+/// error.
+fn measure_instrumented(
+    cmd: &str,
+    kind: WorkloadKind,
+    warmup: u64,
+    instructions: u64,
+    trace_limit: usize,
+    plan: Option<&vax_fault::FaultPlan>,
+) -> Result<Instrumented, String> {
+    use upc_monitor::{Command, HistogramBoard};
+
+    let mut machine = vax_workloads::try_build_machine(&profile(kind))
+        .map_err(|e| format!("vax780 {cmd}: {e}"))?;
+    // Baseline after build: the counter deltas from here cover exactly
+    // the cycles both sinks observe.
+    let hw_base = *machine.cpu.mem().counters();
+    let mut board = HistogramBoard::new();
+    board.execute(Command::Start);
+    let mut tracer = vax_trace::Tracer::with_capacity(trace_limit);
+    let mut metrics = vax_trace::SelfMetrics::new();
+    {
+        let mut tee = (&mut board, &mut tracer);
+        for (phase, count) in [("warmup", warmup), ("measure", instructions)] {
+            if let (Some(plan), "measure") = (plan, phase) {
+                let engine = vax_fault::FaultEngine::new(plan);
+                machine.cpu.mem_mut().set_fault_hook(Box::new(engine));
+                let now = machine.cpu.now();
+                machine.cpu.mem_mut().arm_fault_hook(now);
+            }
+            if count == 0 {
+                continue;
+            }
+            metrics.begin_phase(phase, machine.cpu.now(), machine.cpu.instructions());
+            machine
+                .run_phase(phase, count, &mut tee)
+                .map_err(|e| format!("machine stopped during {phase}: {e:?}"))?;
+            metrics.end_phase(machine.cpu.now(), machine.cpu.instructions());
+        }
+    }
+    board.execute(Command::Stop);
+
+    let hw = machine.cpu.mem().counters().delta_since(&hw_base);
+    let reconciliation = vax_analysis::reconcile::reconcile(
+        &tracer,
+        &board.snapshot(),
+        &hw,
+        machine.cpu.pending_ib_tb_miss(),
+    );
+    Ok(Instrumented {
+        machine,
+        tracer,
+        metrics,
+        reconciliation,
+    })
+}
+
+/// Print the reconciliation; a disagreement fails the subcommand, since
+/// the instruments must tell one story.
+fn print_reconciliation(run: &Instrumented) -> bool {
+    println!("=== instrument reconciliation ===");
+    println!("{}", run.reconciliation);
+    run.reconciliation.is_ok()
+}
+
+/// Run one workload with both instruments attached from boot, export
+/// the trace, and reconcile the instruments. Any disagreement is a
+/// nonzero exit.
+fn cmd_trace(args: &[String]) -> ExitCode {
     let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
     let warmup: u64 = or_fail!(num_opt(args, "--warmup", 10_000));
     let workload = opt(args, "--workload").unwrap_or("timesharing-light");
@@ -1175,49 +1217,28 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     }
     let limit: usize = or_fail!(num_opt(args, "--trace-limit", vax_trace::DEFAULT_CAPACITY));
 
-    let mut metrics = SelfMetrics::new();
-    let mut machine = match vax_workloads::try_build_machine(&profile(kind)) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("vax780 trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Baseline after build: the counter deltas from here cover exactly
-    // the cycles both sinks observe.
-    let hw_base = *machine.cpu.mem().counters();
-    let mut board = HistogramBoard::new();
-    board.execute(Command::Start);
-    let mut tracer = Tracer::with_capacity(limit);
-
     eprintln!("tracing {workload}: {warmup} warmup + {instructions} measured instructions ...");
-    {
-        let mut tee = (&mut board, &mut tracer);
-        for (phase, count) in [("warmup", warmup), ("measure", instructions)] {
-            if count == 0 {
-                continue;
-            }
-            metrics.begin_phase(phase, machine.cpu.now(), machine.cpu.instructions());
-            if let Err(e) = machine.run_phase(phase, count, &mut tee) {
-                eprintln!("machine stopped during {phase}: {e:?}");
-                return ExitCode::FAILURE;
-            }
-            metrics.end_phase(machine.cpu.now(), machine.cpu.instructions());
-        }
-    }
-    board.execute(Command::Stop);
+    let mut run = or_fail!(measure_instrumented(
+        "trace",
+        kind,
+        warmup,
+        instructions,
+        limit,
+        None
+    ));
+    let (cpu, tracer, metrics) = (&run.machine.cpu, &run.tracer, &mut run.metrics);
 
     if let Some(path) = opt(args, "--trace-out") {
-        metrics.begin_phase("export", machine.cpu.now(), machine.cpu.instructions());
+        metrics.begin_phase("export", cpu.now(), cpu.instructions());
         let result = std::fs::File::create(path).and_then(|f| {
             let mut w = std::io::BufWriter::new(f);
             if format == "chrome" {
-                vax_trace::export::write_chrome_trace(&tracer, &mut w)
+                vax_trace::export::write_chrome_trace(tracer, &mut w)
             } else {
-                vax_trace::export::write_jsonl(&tracer, &mut w)
+                vax_trace::export::write_jsonl(tracer, &mut w)
             }
         });
-        metrics.end_phase(machine.cpu.now(), machine.cpu.instructions());
+        metrics.end_phase(cpu.now(), cpu.instructions());
         if let Err(e) = result {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
@@ -1233,18 +1254,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         println!("=== simulator self-metrics ===");
         println!("{metrics}\n");
     }
-
-    let histogram = board.snapshot();
-    let hw = machine.cpu.mem().counters().delta_since(&hw_base);
-    let reconciliation = vax_analysis::reconcile::reconcile(
-        &tracer,
-        &histogram,
-        &hw,
-        machine.cpu.pending_ib_tb_miss(),
-    );
-    println!("=== instrument reconciliation ===");
-    println!("{reconciliation}");
-    if reconciliation.is_ok() {
+    if print_reconciliation(&run) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -1252,13 +1262,12 @@ fn cmd_trace(args: &[String]) -> ExitCode {
 }
 
 /// Run one workload under a deterministic fault plan with both
-/// instruments attached, reconcile them, and (with `--report`) measure
-/// the fault-sensitivity table: a clean baseline plus one injected run
-/// per fault class present in the plan.
+/// instruments attached, list the faults that fired, reconcile the
+/// instruments, and (with `--report`) measure the fault-sensitivity
+/// table: a clean baseline plus one injected run per fault class
+/// present in the plan.
 fn cmd_inject(args: &[String]) -> ExitCode {
-    use upc_monitor::{Command, HistogramBoard};
-    use vax_fault::{FaultClass, FaultEngine, FaultPlan};
-    use vax_trace::Tracer;
+    use vax_fault::{FaultClass, FaultPlan};
 
     let instructions: u64 = or_fail!(num_opt(args, "--instructions", 50_000));
     let warmup: u64 = or_fail!(num_opt(args, "--warmup", 10_000));
@@ -1316,45 +1325,21 @@ fn cmd_inject(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut machine = match vax_workloads::try_build_machine(&profile(kind)) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("vax780 inject: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let hw_base = *machine.cpu.mem().counters();
-    let mut board = HistogramBoard::new();
-    board.execute(Command::Start);
-    let mut tracer = Tracer::with_capacity(vax_trace::DEFAULT_CAPACITY);
-
     eprintln!(
         "injecting {} fault(s) into {workload}: {warmup} warmup + {instructions} measured \
          instructions ...",
         plan.faults.len()
     );
-    {
-        let mut tee = (&mut board, &mut tracer);
-        if let Err(e) = machine.run_phase("warmup", warmup, &mut tee) {
-            eprintln!("machine stopped during warmup: {e:?}");
-            return ExitCode::FAILURE;
-        }
-        // Arm at the measurement boundary: `@cycle` offsets count from
-        // the first measured cycle, exactly as `Experiment::fault_plan`.
-        machine
-            .cpu
-            .mem_mut()
-            .set_fault_hook(Box::new(FaultEngine::new(&plan)));
-        let now = machine.cpu.now();
-        machine.cpu.mem_mut().arm_fault_hook(now);
-        if let Err(e) = machine.run_phase("measure", instructions, &mut tee) {
-            eprintln!("machine stopped during measure: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    board.execute(Command::Stop);
+    let run = or_fail!(measure_instrumented(
+        "inject",
+        kind,
+        warmup,
+        instructions,
+        vax_trace::DEFAULT_CAPACITY,
+        Some(&plan)
+    ));
 
-    let fired = machine.cpu.mem().faults_fired();
+    let fired = run.machine.cpu.mem().faults_fired();
     println!("=== injected faults ===");
     if fired.is_empty() {
         println!("(no scheduled fault matured inside the measured window)");
@@ -1363,18 +1348,7 @@ fn cmd_inject(args: &[String]) -> ExitCode {
         println!("fired {} @ cycle {}", f.class, f.at_cycle);
     }
     println!();
-
-    let histogram = board.snapshot();
-    let hw = machine.cpu.mem().counters().delta_since(&hw_base);
-    let reconciliation = vax_analysis::reconcile::reconcile(
-        &tracer,
-        &histogram,
-        &hw,
-        machine.cpu.pending_ib_tb_miss(),
-    );
-    println!("=== instrument reconciliation ===");
-    println!("{reconciliation}");
-    if !reconciliation.is_ok() {
+    if !print_reconciliation(&run) {
         return ExitCode::FAILURE;
     }
 

@@ -231,7 +231,7 @@ fn settle_under(path: &Path, specs: &[JobSpec], config: CpuConfig) -> Vec<JobId>
     let serve = ServeConfig {
         journal: path.to_path_buf(),
         workers: 2,
-        retry: RetryPolicy::from_retries(0, 0),
+        retry: RetryPolicy::from_retries(0),
         drain_on_start: true,
         ..ServeConfig::default()
     };
